@@ -9,33 +9,14 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from faultlab.changepoint import (
     compute_threshold,
-    detect_changepoints,
-    flags_to_segments,
+    propose_segments,
     reconstruction_errors,
-    segments_to_mask,
     train_autoencoder,
 )
 from faultlab.config import RunConfig
-from faultlab.simgen import NO_FAULT, generate_dataset
-
-
-def injected_windows(fault_class: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, class) for each maximal run of a single fault class."""
-    out = []
-    start = None
-    for t, c in enumerate(fault_class):
-        if c != NO_FAULT and start is None:
-            start = t
-        elif start is not None and (c == NO_FAULT or c != fault_class[start]):
-            out.append((start, t, int(fault_class[start])))
-            start = t if c != NO_FAULT else None
-    if start is not None:
-        out.append((start, len(fault_class), int(fault_class[start])))
-    return out
+from faultlab.simgen import NO_FAULT, generate_dataset, true_fault_windows
 
 
 def main() -> None:
@@ -61,12 +42,11 @@ def main() -> None:
     spec = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
     print(f"threshold tau = {spec.tau:.4f} (mu {spec.mu:.4f} + {spec.k:g} sigma)")
 
-    flags = detect_changepoints(reconstruction_errors(auto, mixed), spec)
-    segments = flags_to_segments(flags, min_gap=cfg.cpd.min_gap,
-                                 min_len=cfg.cpd.min_len, window=cfg.cpd.window)
-    mask = segments_to_mask(segments, len(mixed)).astype(bool)
+    segments, mask = propose_segments(reconstruction_errors(auto, mixed), spec, cfg.cpd,
+                                      len(mixed))
+    mask = mask.astype(bool)
 
-    truth = injected_windows(mixed.fault_class)
+    truth = true_fault_windows(mixed)
     print(f"\ninjected fault windows ({len(truth)}):")
     for s, e, c in truth:
         hit = mask[s:e].mean()

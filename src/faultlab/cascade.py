@@ -24,8 +24,8 @@ from .changepoint import (
     LstmAutoencoder,
     Segment,
     ThresholdSpec,
-    detect_changepoints,
-    flags_to_segments,
+    as_features,
+    propose_segments,
     reconstruction_errors,
     segments_to_mask,
 )
@@ -241,19 +241,6 @@ class Standardizer:
         return (x - self.mu) / self.sd
 
 
-# --- Task 1 -------------------------------------------------------------------
-
-def task1_propose(series, model: LstmAutoencoder, threshold: ThresholdSpec,
-                  cfg: CpdConfig) -> tuple[list[Segment], np.ndarray]:
-    """Delegates to the change-point module; mask is 1 inside segments."""
-    x = series.features() if isinstance(series, TimeSeriesDataset) else np.asarray(series, dtype=float)
-    errors = reconstruction_errors(model, x)
-    flags = detect_changepoints(errors, threshold)
-    segments = flags_to_segments(flags, min_gap=cfg.min_gap, min_len=cfg.min_len,
-                                 window=cfg.window)
-    return segments, segments_to_mask(segments, len(x))
-
-
 # --- Task 2 -------------------------------------------------------------------
 
 def task2_labels(anomaly: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -280,7 +267,7 @@ def train_task2(mixed: TimeSeriesDataset, mask: np.ndarray, cfg: TaskNetConfig,
 def task2_score(model: SequenceClassifier, series, segments: list[Segment],
                 std: Standardizer, chunk_len: int = 64) -> np.ndarray:
     """O_t2: anomaly probability inside segments, exactly 0 outside."""
-    x = series.features() if isinstance(series, TimeSeriesDataset) else np.asarray(series, dtype=float)
+    x = as_features(series)
     mask = segments_to_mask(segments, len(x))
     probs = model.infer_series(std.apply(x), chunk_len)
     return np.where(mask == 1.0, probs[:, 1], 0.0)
@@ -380,69 +367,30 @@ class SmtcnnModels:
             raise InvariantViolation(f"unknown variant {self.variant!r}")
 
 
+def no_cpd_proposal(length: int) -> tuple[list[Segment], np.ndarray]:
+    """Task 1 output of the b2_no_cpd ablation: one segment over the whole series."""
+    return [Segment(0, length)], np.ones(length)
+
+
 def propose_for_variant(models: SmtcnnModels, series) -> tuple[list[Segment], np.ndarray]:
-    x = series.features() if isinstance(series, TimeSeriesDataset) else np.asarray(series, dtype=float)
+    x = as_features(series)
     if models.variant == "b2_no_cpd":
-        return [Segment(0, len(x))], np.ones(len(x))
+        return no_cpd_proposal(len(x))
     if models.autoencoder is None or models.threshold is None:
         raise InvariantViolation("variant requires a trained change-point stage")
-    return task1_propose(x, models.autoencoder, models.threshold, models.cpd_cfg)
+    return propose_segments(reconstruction_errors(models.autoencoder, x), models.threshold,
+                            models.cpd_cfg, len(x))
 
 
 def smtcnn_infer(series, models: SmtcnnModels) -> CascadePrediction:
     """Tasks 1 -> 2 -> 3 in pipeline order."""
-    x = series.features() if isinstance(series, TimeSeriesDataset) else np.asarray(series, dtype=float)
+    x = as_features(series)
     segments, mask = propose_for_variant(models, x)
     o_t2 = task2_score(models.task2, x, segments, models.std, models.chunk_len)
     inputs = build_task3_inputs(models.std.apply(x), mask, o_t2)
     probs = models.task3.infer_series(inputs, models.chunk_len)
     classes = predict_classes(probs)
     return CascadePrediction(classes=classes, anomaly=classes != NO_FAULT, probs=probs)
-
-
-def smtcnn_train_full(mixed: TimeSeriesDataset, normal: TimeSeriesDataset,
-                      anomaly: TimeSeriesDataset, cfg, variant: str = "full") -> SmtcnnModels:
-    """Train every stage in pipeline order on whole datasets.
-
-    cfg is a RunConfig. The change-point stage trains on normal data only and
-    the segment classifier on anomalous data only; the task networks train on
-    the labeled mixed stream.
-    """
-    from .changepoint import compute_threshold, train_autoencoder
-    from .segclass import train_classifier, windowize
-
-    if variant not in VARIANTS:
-        raise InvariantViolation(f"unknown variant {variant!r}")
-    for ds, want in ((mixed, "mixed"), (normal, "normal_only"), (anomaly, "anomaly_only")):
-        if ds.regime != want:
-            raise InvariantViolation(f"expected a {want} dataset, got {ds.regime}")
-
-    x = mixed.features()
-    std = Standardizer.fit(x)
-    auto = threshold = None
-    if variant == "b2_no_cpd":
-        segments, mask = [Segment(0, len(x))], np.ones(len(x))
-    else:
-        auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
-        threshold = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
-        segments, mask = task1_propose(x, auto, threshold, cfg.cpd)
-
-    seg_model = None
-    if variant != "b3_no_segclass":
-        rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
-        seg_model = train_classifier(cfg.seg.kind, rows, cfg.seg,
-                                     seed=cfg.stage_seed("segclass"))
-
-    task2 = train_task2(mixed, mask, cfg.task2, std, seed=cfg.stage_seed("task2"))
-    o_t2 = task2_score(task2, x, segments, std, cfg.task2.chunk_len)
-    bias = None
-    if seg_model is not None:
-        bias = warm_start_bias(seg_model, x, segments, cfg.seg)
-    task3 = train_task3(mixed, mask, o_t2, cfg.task3, std,
-                        seed=cfg.stage_seed("task3"), init_bias=bias)
-    return SmtcnnModels(variant=variant, autoencoder=auto, threshold=threshold,
-                        seg_model=seg_model, task2=task2, task3=task3, std=std,
-                        cpd_cfg=cfg.cpd, seg_cfg=cfg.seg, chunk_len=cfg.task3.chunk_len)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -492,39 +440,44 @@ def load_models(model_dir) -> SmtcnnModels:
     from .segclass import from_checkpoint as seg_from_checkpoint
 
     d = Path(model_dir)
-    if not (d / "manifest.json").exists():
-        raise ConfigError(f"missing model file: {d / 'manifest.json'}")
-    manifest = load_checkpoint(d / "manifest.json", expect_kind="smtcnn_manifest")
-    variant = manifest.meta["variant"]
-    cpd_cfg = CpdConfig()
-    seg_cfg = SegclassConfig(window=int(manifest.meta["seg_window"]),
-                             stride=int(manifest.meta["seg_stride"]))
 
-    auto = threshold = None
-    if variant != "b2_no_cpd":
-        path = d / "cpd.json"
+    def load(name: str, kind: str | None, parse):
+        path = d / f"{name}.json"
         if not path.exists():
             raise ConfigError(f"missing model file: {path}")
-        ckpt = load_checkpoint(path, expect_kind="lstm_autoencoder")
+        ckpt = load_checkpoint(path, expect_kind=kind)
+        try:
+            return parse(ckpt)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing key {exc}") from None
+
+    def parse_manifest(m: Checkpoint):
+        seg_cfg = SegclassConfig(window=int(m.meta["seg_window"]),
+                                 stride=int(m.meta["seg_stride"]))
+        return (m.meta["variant"], int(m.meta["chunk_len"]), seg_cfg,
+                Standardizer(m.arrays["std_mu"], m.arrays["std_sd"]))
+
+    def parse_cpd(ckpt: Checkpoint):
         auto = LstmAutoencoder.from_checkpoint(ckpt)
         t = ckpt.meta["threshold"]
         threshold = ThresholdSpec(mu=t["mu"], sigma=t["sigma"], k=t["k"], tau=t["tau"])
         cpd_cfg = CpdConfig(window=auto.window, min_gap=int(ckpt.meta["min_gap"]),
                             min_len=int(ckpt.meta["min_len"]))
+        return auto, threshold, cpd_cfg
+
+    variant, chunk_len, seg_cfg, std = load("manifest", "smtcnn_manifest", parse_manifest)
+    auto = threshold = None
+    cpd_cfg = CpdConfig()
+    if variant != "b2_no_cpd":
+        auto, threshold, cpd_cfg = load("cpd", "lstm_autoencoder", parse_cpd)
 
     seg_model = None
     if variant != "b3_no_segclass" and (d / "segclass.json").exists():
-        seg_model = seg_from_checkpoint(load_checkpoint(d / "segclass.json"))
-
-    def _load_task(name: str) -> SequenceClassifier:
-        path = d / f"{name}.json"
-        if not path.exists():
-            raise ConfigError(f"missing model file: {path}")
-        return SequenceClassifier.from_checkpoint(load_checkpoint(path, expect_kind=name))
+        seg_model = load("segclass", None, seg_from_checkpoint)
 
     return SmtcnnModels(
         variant=variant, autoencoder=auto, threshold=threshold, seg_model=seg_model,
-        task2=_load_task("task2"), task3=_load_task("task3"),
-        std=Standardizer(manifest.arrays["std_mu"], manifest.arrays["std_sd"]),
-        cpd_cfg=cpd_cfg, seg_cfg=seg_cfg, chunk_len=int(manifest.meta["chunk_len"]),
+        task2=load("task2", "task2", SequenceClassifier.from_checkpoint),
+        task3=load("task3", "task3", SequenceClassifier.from_checkpoint),
+        std=std, cpd_cfg=cpd_cfg, seg_cfg=seg_cfg, chunk_len=chunk_len,
     )

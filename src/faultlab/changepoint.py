@@ -175,7 +175,8 @@ class LstmAutoencoder:
                    ckpt.arrays["mu"], ckpt.arrays["sd"])
 
 
-def _as_features(series) -> np.ndarray:
+def as_features(series) -> np.ndarray:
+    """(T, 3) float feature matrix of a dataset or of an array-like series."""
     if isinstance(series, TimeSeriesDataset):
         return series.features()
     x = np.asarray(series, dtype=float)
@@ -235,7 +236,7 @@ def train_autoencoder(normal: TimeSeriesDataset, cfg: CpdConfig,
 def reconstruction_errors(model: LstmAutoencoder, series,
                           batch: int = 4096) -> np.ndarray:
     """Per-window MSE in standardized space; length T - W + 1, stride 1."""
-    x = _as_features(series)
+    x = as_features(series)
     windows = sliding_windows(x, model.window)
     out = np.empty(len(windows))
     for i in range(0, len(windows), batch):
@@ -298,6 +299,15 @@ def flags_to_segments(flags: np.ndarray, min_gap: int = 0, min_len: int = 0,
     ]
 
 
+def propose_segments(errors: np.ndarray, threshold: ThresholdSpec, cfg: CpdConfig,
+                     length: int) -> tuple[list[Segment], np.ndarray]:
+    """Task 1: window errors of a `length`-step series -> segments and 0/1 mask."""
+    flags = detect_changepoints(errors, threshold)
+    segments = flags_to_segments(flags, min_gap=cfg.min_gap, min_len=cfg.min_len,
+                                 window=cfg.window)
+    return segments, segments_to_mask(segments, length)
+
+
 def segments_to_mask(segments: list[Segment], length: int) -> np.ndarray:
     mask = np.zeros(length, dtype=float)
     for seg in segments:
@@ -305,10 +315,3 @@ def segments_to_mask(segments: list[Segment], length: int) -> np.ndarray:
             raise InvariantViolation(f"segment [{seg.start},{seg.end}) exceeds length {length}")
         mask[seg.start:seg.end] = 1.0
     return mask
-
-
-def write_segments_csv(segments: list[Segment], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("start,end\n")
-        for seg in segments:
-            fh.write(f"{seg.start},{seg.end}\n")

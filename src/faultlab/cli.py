@@ -97,13 +97,14 @@ def cmd_train_seg(args) -> int:
 
 
 def cmd_train_smtcnn(args) -> int:
-    from .cascade import save_models, smtcnn_train_full
+    from .cascade import save_models
+    from .experiment import build_assets, train_whole
 
     cfg = _load_cfg(args)
     variant = VARIANT_ALIASES[args.ablation] if args.ablation else "full"
-    models = smtcnn_train_full(read_csv(args.mixed), read_csv(args.normal),
-                               read_csv(args.anomaly), cfg, variant=variant)
-    save_models(models, args.out)
+    datasets = {"mixed": read_csv(args.mixed), "normal_only": read_csv(args.normal),
+                "anomaly_only": read_csv(args.anomaly)}
+    save_models(train_whole(build_assets(cfg, datasets), variant), args.out)
     print(f"wrote {args.out}: variant={variant}")
     return 0
 
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", choices=("b2", "b3"), default=None)
     p.set_defaults(func=cmd_train_smtcnn)
 
-    p = sub.add_parser("infer", parents=[common], help="per-step predictions")
+    p = sub.add_parser("infer", help="per-step predictions")
     p.add_argument("--models", required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)

@@ -9,7 +9,9 @@ each fold's change-point pass is a slice, not a fresh inference run.
 
 Variants share fold plumbing: full and b3_no_segclass use identical proposals
 and Task 2 models (they differ only in the Task 3 warm start), and all task
-networks of one fold start from the same seeded initial weights.
+networks of one fold start from the same seeded initial weights. The CV folds
+and the whole-stream models of `train_whole` train their task networks
+through the one `train_task_nets`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ import numpy as np
 
 from .cascade import (
     VARIANTS,
+    SequenceClassifier,
+    SmtcnnModels,
     Standardizer,
     build_task3_inputs,
+    no_cpd_proposal,
     predict_classes,
     task2_score,
     train_task2,
@@ -35,10 +40,8 @@ from .changepoint import (
     Segment,
     ThresholdSpec,
     compute_threshold,
-    detect_changepoints,
-    flags_to_segments,
+    propose_segments,
     reconstruction_errors,
-    segments_to_mask,
     train_autoencoder,
 )
 from .config import RunConfig
@@ -71,6 +74,11 @@ def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None =
     if datasets is None:
         datasets = {r: generate_dataset(r, cfg.sim)
                     for r in ("normal_only", "anomaly_only", "mixed")}
+    else:
+        for want in ("mixed", "normal_only", "anomaly_only"):
+            if datasets[want].regime != want:
+                raise InvariantViolation(
+                    f"expected a {want} dataset, got {datasets[want].regime}")
     normal, anomaly, mixed = (datasets["normal_only"], datasets["anomaly_only"],
                               datasets["mixed"])
     auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
@@ -82,92 +90,96 @@ def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None =
                             reconstruction_errors(auto, mixed))
 
 
-def block_proposals(assets: ExperimentAssets, start: int, length: int,
+def block_proposals(assets: ExperimentAssets, start: int, length: int, use_cpd: bool,
                     ) -> tuple[list[Segment], np.ndarray]:
-    """Change-point segments for mixed[start:start+length] via cached errors.
+    """Task 1 segments for mixed[start:start+length] via cached errors.
 
-    A window fully inside the block has the same reconstruction error as the
-    corresponding global window, so the block's flags are a slice.
+    Without the change-point stage (b2_no_cpd) the whole block is one
+    segment. A window fully inside the block has the same reconstruction error as the
+    corresponding global window, so the block's errors are a slice.
     """
+    if not use_cpd:
+        return no_cpd_proposal(length)
     w = assets.cfg.cpd.window
     n_win = length - w + 1
     if n_win <= 0:
         raise InvariantViolation(f"block of {length} steps shorter than window {w}")
-    flags = detect_changepoints(assets.mixed_errors[start:start + n_win],
-                                assets.threshold)
-    segments = flags_to_segments(flags, min_gap=assets.cfg.cpd.min_gap,
-                                 min_len=assets.cfg.cpd.min_len, window=w)
-    return segments, segments_to_mask(segments, length)
+    return propose_segments(assets.mixed_errors[start:start + n_win], assets.threshold,
+                            assets.cfg.cpd, length)
 
 
-def _variant_products(assets: ExperimentAssets, fold, fold_idx: int, use_cpd: bool):
-    """Everything task 3 consumes, shared between variants with the same mask."""
+@dataclass
+class Task2Stage:
+    """Task 1 and task 2 products on one training block for one mask choice."""
+
+    train_ds: TimeSeriesDataset
+    std: Standardizer
+    segments: list[Segment]
+    mask: np.ndarray
+    task2: SequenceClassifier
+    o_t2: np.ndarray
+
+
+def train_task_nets(assets: ExperimentAssets, start: int, length: int, variant: str,
+                    tag: str, stages: dict) -> tuple[Task2Stage, SequenceClassifier]:
+    """Train task 2 and task 3 of `variant` on mixed[start:start+length].
+
+    `tag` is "" for the whole stream and ":fold<i>" for a CV fold; it names
+    the stage seeds "task2<tag>" and "task3<tag>". `stages` caches the task-2
+    stage per mask choice, so variants with the same proposals (full and
+    b3_no_segclass) train task 2 once.
+    """
     cfg = assets.cfg
-    train_ds = assets.mixed.slice(fold.train_start, fold.train_start + fold.train_len)
-    x_tr = train_ds.features()
-    x_te = assets.mixed.features()[fold.test_start:fold.test_start + fold.test_len]
-    std = Standardizer.fit(x_tr)
-    if use_cpd:
-        segs_tr, mask_tr = block_proposals(assets, fold.train_start, fold.train_len)
-        segs_te, mask_te = block_proposals(assets, fold.test_start, fold.test_len)
-    else:
-        segs_tr, mask_tr = [Segment(0, len(x_tr))], np.ones(len(x_tr))
-        segs_te, mask_te = [Segment(0, len(x_te))], np.ones(len(x_te))
-    task2 = train_task2(train_ds, mask_tr, cfg.task2, std,
-                        seed=cfg.stage_seed(f"task2:fold{fold_idx}"))
-    return {
-        "train_ds": train_ds, "x_tr": x_tr, "x_te": x_te, "std": std,
-        "segs_tr": segs_tr, "mask_tr": mask_tr, "segs_te": segs_te, "mask_te": mask_te,
-        "task2": task2,
-        "o2_tr": task2_score(task2, x_tr, segs_tr, std, cfg.task2.chunk_len),
-        "o2_te": task2_score(task2, x_te, segs_te, std, cfg.task2.chunk_len),
-    }
+    use_cpd = variant != "b2_no_cpd"
+    if use_cpd not in stages:
+        train_ds = assets.mixed.slice(start, start + length)
+        x = train_ds.features()
+        std = Standardizer.fit(x)
+        segs, mask = block_proposals(assets, start, length, use_cpd)
+        task2 = train_task2(train_ds, mask, cfg.task2, std,
+                            seed=cfg.stage_seed("task2" + tag))
+        stages[use_cpd] = Task2Stage(train_ds, std, segs, mask, task2,
+                                     task2_score(task2, x, segs, std, cfg.task2.chunk_len))
+    st = stages[use_cpd]
+    bias = None
+    if variant != "b3_no_segclass":
+        bias = warm_start_bias(assets.seg_model, st.train_ds.features(), st.segments, cfg.seg)
+    task3 = train_task3(st.train_ds, st.mask, st.o_t2, cfg.task3, st.std,
+                        seed=cfg.stage_seed("task3" + tag), init_bias=bias)
+    return st, task3
 
 
 def _run_fold(assets: ExperimentAssets, fold, fold_idx: int, variant: str,
-              cache: dict) -> dict[str, float]:
+              stages: dict, test_inputs: dict) -> dict[str, float]:
+    """Train on the fold's train block, score its test block.
+
+    `stages` and `test_inputs` are per-fold caches keyed by the mask choice.
+    """
     cfg = assets.cfg
     use_cpd = variant != "b2_no_cpd"
-    if use_cpd not in cache:
-        cache[use_cpd] = _variant_products(assets, fold, fold_idx, use_cpd)
-    p = cache[use_cpd]
-    bias = None
-    if variant != "b3_no_segclass":
-        bias = warm_start_bias(assets.seg_model, p["x_tr"], p["segs_tr"], cfg.seg)
-    task3 = train_task3(p["train_ds"], p["mask_tr"], p["o2_tr"], cfg.task3, p["std"],
-                        seed=cfg.stage_seed(f"task3:fold{fold_idx}"), init_bias=bias)
-    inputs = build_task3_inputs(p["std"].apply(p["x_te"]), p["mask_te"], p["o2_te"])
-    preds = predict_classes(task3.infer_series(inputs, cfg.task3.chunk_len))
+    st, task3 = train_task_nets(assets, fold.train_start, fold.train_len, variant,
+                                f":fold{fold_idx}", stages)
+    if use_cpd not in test_inputs:
+        x_te = assets.mixed.features()[fold.test_start:fold.test_start + fold.test_len]
+        segs_te, mask_te = block_proposals(assets, fold.test_start, fold.test_len, use_cpd)
+        o2_te = task2_score(st.task2, x_te, segs_te, st.std, cfg.task2.chunk_len)
+        test_inputs[use_cpd] = build_task3_inputs(st.std.apply(x_te), mask_te, o2_te)
+    preds = predict_classes(task3.infer_series(test_inputs[use_cpd], cfg.task3.chunk_len))
     truth = assets.mixed.fault_class[fold.test_start:fold.test_start + fold.test_len]
     return metrics(confusion(preds, truth, classes=ALL_CLASSES))
 
 
-def train_whole(assets: ExperimentAssets, variant: str):
+def train_whole(assets: ExperimentAssets, variant: str) -> SmtcnnModels:
     """Final deployable models for one variant, reusing the shared stages."""
-    from .cascade import SmtcnnModels
-
     cfg = assets.cfg
-    x = assets.mixed.features()
-    std = Standardizer.fit(x)
-    if variant == "b2_no_cpd":
-        segs, mask = [Segment(0, len(x))], np.ones(len(x))
-    else:
-        segs, mask = block_proposals(assets, 0, len(x))
-    task2 = train_task2(assets.mixed, mask, cfg.task2, std,
-                        seed=cfg.stage_seed("task2"))
-    o2 = task2_score(task2, x, segs, std, cfg.task2.chunk_len)
-    bias = None
-    if variant != "b3_no_segclass":
-        bias = warm_start_bias(assets.seg_model, x, segs, cfg.seg)
-    task3 = train_task3(assets.mixed, mask, o2, cfg.task3, std,
-                        seed=cfg.stage_seed("task3"), init_bias=bias)
+    st, task3 = train_task_nets(assets, 0, len(assets.mixed), variant, "", {})
     use_cpd = variant != "b2_no_cpd"
     return SmtcnnModels(
         variant=variant,
         autoencoder=assets.autoencoder if use_cpd else None,
         threshold=assets.threshold if use_cpd else None,
         seg_model=assets.seg_model if variant != "b3_no_segclass" else None,
-        task2=task2, task3=task3, std=std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
+        task2=st.task2, task3=task3, std=st.std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
         chunk_len=cfg.task3.chunk_len,
     )
 
@@ -177,12 +189,6 @@ def default_plan(assets: ExperimentAssets) -> SeqCvPlan:
     return seq_cv_plan(len(assets.mixed), folds=pc.folds,
                        seed=assets.cfg.stage_seed("seqcv"),
                        lo=pc.len_frac_lo, hi=pc.len_frac_hi)
-
-
-def run_experiment(assets: ExperimentAssets, variant: str,
-                   plan: SeqCvPlan | None = None) -> EvalReport:
-    """Per-fold train/eval of one variant; skips failed folds with a warning."""
-    return run_variants(assets, (variant,), plan)[0]
 
 
 def run_all_variants(assets: ExperimentAssets, plan: SeqCvPlan | None = None,
@@ -199,10 +205,11 @@ def run_variants(assets: ExperimentAssets, variants: tuple[str, ...],
         plan = default_plan(assets)
     reports = {v: EvalReport(label=v) for v in variants}
     for idx, fold in enumerate(plan.folds):
-        cache: dict = {}
+        stages: dict = {}
+        test_inputs: dict = {}
         for v in variants:
             try:
-                reports[v].add_fold(_run_fold(assets, fold, idx, v, cache))
+                reports[v].add_fold(_run_fold(assets, fold, idx, v, stages, test_inputs))
             except FaultlabError as exc:
                 warnings.warn(f"fold {idx} failed for {v}: {exc}", stacklevel=2)
                 reports[v].skipped_folds.append(idx)

@@ -3,7 +3,6 @@
 from .layers import (
     DenseParams,
     LstmCellParams,
-    dense_forward,
     dense_forward_batch,
     lstm_cell_forward,
     lstm_forward_batch,
@@ -27,7 +26,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "check_gradients",
-    "dense_forward",
     "dense_forward_batch",
     "load_checkpoint",
     "lstm_cell_forward",

@@ -333,11 +333,3 @@ def lstm_layer_forward(
     c0b = None if c0 is None else np.asarray(c0, dtype=float)[None, :]
     hs, _ = lstm_forward_batch(batched, p, h0b, c0b)
     return hs[0]
-
-
-def dense_forward(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Dense layer on a single vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.in_size,):
-        raise ShapeMismatchError(f"input shape {x.shape} != ({p.in_size},)")
-    return dense_forward_batch(x[None, :], p)[0]

@@ -1,9 +1,13 @@
 """CLI behavior through in-process main(): exit codes, seeds, artifacts."""
 
 import dataclasses
+import json
 
 import pytest
+from test_acceptance import _file_bytes, _tiny_run_config
+from test_cascade import tiny_models
 
+from faultlab.cascade import save_models
 from faultlab.cli import main
 from faultlab.config import RunConfig, save_run_config
 from faultlab.simgen import read_csv
@@ -110,6 +114,50 @@ def test_missing_model_dir_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file,section,key", [
+    (None, None, None),
+    ("manifest", "meta", "variant"),
+    ("manifest", "meta", "chunk_len"),
+    ("manifest", "meta", "seg_window"),
+    ("manifest", "meta", "seg_stride"),
+    ("manifest", "arrays", "std_mu"),
+    ("manifest", "arrays", "std_sd"),
+    ("cpd", "meta", "threshold"),
+    ("cpd", "meta", "min_gap"),
+    ("cpd", "meta", "min_len"),
+])
+def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, key):
+    series = tmp_path / "s.csv"
+    run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
+    models = tmp_path / "models"
+    save_models(tiny_models("full"), models)
+    if file is not None:
+        path = models / f"{file}.json"
+        doc = json.loads(path.read_text())
+        del doc[section][key]
+        path.write_text(json.dumps(doc))
+    code = run("infer", "--models", str(models), "--in", str(series),
+               "--out", str(tmp_path / "pred.csv"))
+    err = capsys.readouterr().err
+    if file is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert "config error" in err and repr(key) in err
+
+
+def test_infer_rejects_seed_and_config(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
+    save_models(tiny_models("full"), tmp_path / "m")
+    common = ("--models", str(tmp_path / "m"), "--in", str(series),
+              "--out", str(tmp_path / "pred.csv"))
+    assert run("infer", *common) == 0
+    assert run("infer", "--seed", "1", *common) == 2
+    assert run("infer", "--config", str(tiny_config(tmp_path)), *common) == 2
+    capsys.readouterr()
+
+
 def test_train_cpd_on_wrong_regime_exits_1(tmp_path, capsys):
     mixed = tmp_path / "mixed.csv"
     run("gen", "--regime", "mixed", "--out", str(mixed), "--len", "400", "--seed", "0")
@@ -176,3 +224,22 @@ def test_infer_writes_parseable_csv(tmp_path, capsys):
         assert int(idx) == i
         assert 1 <= int(cls) <= 12
         assert 0.0 <= float(p) <= 1.0  # plain floats, not numpy reprs
+
+
+def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
+    """train-smtcnn and pipeline train a variant through the same code path."""
+    cfg_path = _tiny_run_config(tmp_path)
+    assert run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 0
+    csvs = {}
+    for regime in ("normal", "anomaly", "mixed"):
+        csvs[regime] = tmp_path / f"{regime}.csv"
+        assert run("gen", "--regime", regime, "--out", str(csvs[regime]),
+                   "--config", str(cfg_path)) == 0
+    for ablation, variant in ((None, "full"), ("b2", "b2_no_cpd"), ("b3", "b3_no_segclass")):
+        out = tmp_path / "smtcnn" / variant
+        extra = ("--ablation", ablation) if ablation else ()
+        assert run("train-smtcnn", "--mixed", str(csvs["mixed"]),
+                   "--normal", str(csvs["normal"]), "--anomaly", str(csvs["anomaly"]),
+                   "--out", str(out), "--config", str(cfg_path), *extra) == 0
+        assert _file_bytes(out) == _file_bytes(tmp_path / "run" / "models" / variant)
+    capsys.readouterr()

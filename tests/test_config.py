@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,3 +81,10 @@ def test_replace_keeps_nested_configs_independent():
     cfg = RunConfig()
     clone = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, fault_rate=0.5))
     assert cfg.sim.fault_rate != clone.sim.fault_rate
+
+
+def test_quick_config_loads():
+    cfg = load_run_config(Path(__file__).parents[1] / "configs" / "quick.json")
+    assert cfg.sim.n_points == 6000
+    assert (cfg.task2.max_epochs, cfg.task3.max_epochs) == (2, 2)
+    assert (cfg.plan.folds, cfg.plan.min_valid_folds) == (3, 2)
