@@ -16,11 +16,12 @@ training and inference, so the two phases see identical input distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .changepoint import (
+    N_CHANNELS,
     LstmAutoencoder,
     Segment,
     ThresholdSpec,
@@ -37,6 +38,7 @@ from .nncore import (
     DenseParams,
     EarlyStopConfig,
     LstmCellParams,
+    Standardizer,
     sequence_cross_entropy,
     train,
 )
@@ -46,21 +48,6 @@ from .simgen import NO_FAULT, TimeSeriesDataset
 
 N_CLASSES = 12
 VARIANTS = ("full", "b2_no_cpd", "b3_no_segclass")
-
-
-@dataclass
-class CascadeInputs:
-    x: np.ndarray      # (T, 3) feature matrix
-    o_t1: np.ndarray   # (T,) binary segment mask
-    o_t2: np.ndarray   # (T,) anomaly probabilities
-
-    def __post_init__(self):
-        if not (len(self.x) == len(self.o_t1) == len(self.o_t2)):
-            raise ShapeMismatchError("cascade input lengths differ")
-        if np.any((self.o_t1 != 0.0) & (self.o_t1 != 1.0)):
-            raise InvariantViolation("O_t1 must be a 0/1 mask")
-        if np.any((self.o_t2 < 0.0) | (self.o_t2 > 1.0)):
-            raise InvariantViolation("O_t2 must lie in [0,1]")
 
 
 @dataclass
@@ -137,12 +124,8 @@ class SequenceClassifier:
 
     def infer_series(self, x: np.ndarray, chunk_len: int) -> np.ndarray:
         """(T, D) -> per-step probabilities (T, n_out), stateless chunks."""
-        t = len(x)
-        n_chunks = (t + chunk_len - 1) // chunk_len
-        padded = np.zeros((n_chunks * chunk_len, x.shape[1]))
-        padded[:t] = x
-        probs = self.forward_probs(padded.reshape(n_chunks, chunk_len, -1))
-        return probs.reshape(-1, self.n_out)[:t]
+        probs = self.forward_probs(_pad_chunks(x, chunk_len))
+        return probs.reshape(-1, self.n_out)[:len(x)]
 
     def to_checkpoint(self, kind: str, meta: dict | None = None) -> Checkpoint:
         arrays = {
@@ -154,25 +137,28 @@ class SequenceClassifier:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "SequenceClassifier":
-        return cls(
-            LstmCellParams(ckpt.arrays["l1_wx"], ckpt.arrays["l1_wh"], ckpt.arrays["l1_b"]),
-            LstmCellParams(ckpt.arrays["l2_wx"], ckpt.arrays["l2_wh"], ckpt.arrays["l2_b"]),
-            DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"], "softmax"),
-        )
+        lstm1 = LstmCellParams(ckpt.arrays["l1_wx"], ckpt.arrays["l1_wh"], ckpt.arrays["l1_b"])
+        lstm2 = LstmCellParams(ckpt.arrays["l2_wx"], ckpt.arrays["l2_wh"], ckpt.arrays["l2_b"])
+        head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"], "softmax")
+        lstm1.validate()
+        lstm2.validate()
+        if (lstm2.input_size != lstm1.hidden_size
+                or head.w.shape != (len(head.b), lstm2.hidden_size)):
+            raise ShapeMismatchError("layer sizes do not chain: l1 -> l2 -> head")
+        return cls(lstm1, lstm2, head)
+
+
+def _pad_chunks(a: np.ndarray, chunk_len: int, dtype=float) -> np.ndarray:
+    """(T, ...) -> (ceil(T / chunk_len), chunk_len, ...), zero-padded at the tail."""
+    n_chunks = -(-len(a) // chunk_len)
+    padded = np.zeros((n_chunks * chunk_len,) + a.shape[1:], dtype=dtype)
+    padded[:len(a)] = a
+    return padded.reshape((n_chunks, chunk_len) + a.shape[1:])
 
 
 def chunk_series(x: np.ndarray, labels: np.ndarray, chunk_len: int):
     """Split into stateless chunks; the tail keeps label 0 = ignored."""
-    t = len(x)
-    n_chunks = (t + chunk_len - 1) // chunk_len
-    xs = np.zeros((n_chunks, chunk_len, x.shape[1]))
-    ys = np.zeros((n_chunks, chunk_len), dtype=np.int64)
-    for i in range(n_chunks):
-        lo = i * chunk_len
-        hi = min(t, lo + chunk_len)
-        xs[i, :hi - lo] = x[lo:hi]
-        ys[i, :hi - lo] = labels[lo:hi]
-    return xs, ys
+    return _pad_chunks(x, chunk_len), _pad_chunks(labels, chunk_len, np.int64)
 
 
 def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
@@ -226,19 +212,6 @@ def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
         early=EarlyStopConfig(patience=cfg.patience, min_delta=cfg.min_delta),
         rng=rng,
     )
-
-
-@dataclass
-class Standardizer:
-    mu: np.ndarray
-    sd: np.ndarray
-
-    @classmethod
-    def fit(cls, x: np.ndarray) -> "Standardizer":
-        return cls(x.mean(axis=0), np.maximum(x.std(axis=0), 1e-9))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mu) / self.sd
 
 
 # --- Task 2 -------------------------------------------------------------------
@@ -445,17 +418,19 @@ def load_models(model_dir) -> SmtcnnModels:
         path = d / f"{name}.json"
         if not path.exists():
             raise ConfigError(f"missing model file: {path}")
-        ckpt = load_checkpoint(path, expect_kind=kind)
         try:
-            return parse(ckpt)
+            return parse(load_checkpoint(path, expect_kind=kind))
         except KeyError as exc:
             raise ConfigError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # wrong-typed or wrong-shaped values
+            raise ConfigError(f"{path}: {exc}") from None
 
     def parse_manifest(m: Checkpoint):
         seg_cfg = SegclassConfig(window=int(m.meta["seg_window"]),
                                  stride=int(m.meta["seg_stride"]))
-        return (m.meta["variant"], int(m.meta["chunk_len"]), seg_cfg,
-                Standardizer(m.arrays["std_mu"], m.arrays["std_sd"]))
+        std = Standardizer(m.arrays["std_mu"], m.arrays["std_sd"])
+        std.validate(N_CHANNELS)
+        return m.meta["variant"], int(m.meta["chunk_len"]), seg_cfg, std
 
     def parse_cpd(ckpt: Checkpoint):
         auto = LstmAutoencoder.from_checkpoint(ckpt)

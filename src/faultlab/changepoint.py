@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CpdConfig
-from .errors import InvariantViolation, NotTrainedError, ShapeMismatchError
+from .errors import InvariantViolation, ShapeMismatchError
 from .nncore import (
     AdamState,
     Checkpoint,
     DenseParams,
     EarlyStopConfig,
     LstmCellParams,
+    Standardizer,
     dense_forward_batch,
     mse_loss,
     train,
@@ -64,7 +65,7 @@ class LstmAutoencoder:
     """Per-channel encoders + joint decoder + identity head."""
 
     def __init__(self, encoders: list[LstmCellParams], decoder: LstmCellParams,
-                 head: DenseParams, window: int, mu: np.ndarray, sd: np.ndarray):
+                 head: DenseParams, window: int, std: Standardizer):
         if len(encoders) != N_CHANNELS:
             raise ShapeMismatchError(f"expected {N_CHANNELS} encoders, got {len(encoders)}")
         latent = sum(e.hidden_size for e in encoders)
@@ -76,17 +77,16 @@ class LstmAutoencoder:
         self.decoder = decoder
         self.head = head
         self.window = window
-        self.mu = np.asarray(mu, dtype=float)
-        self.sd = np.asarray(sd, dtype=float)
+        self.std = std
         self.train_result = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, cfg: CpdConfig,
-             mu: np.ndarray, sd: np.ndarray) -> "LstmAutoencoder":
+             std: Standardizer) -> "LstmAutoencoder":
         encoders = [LstmCellParams.init(rng, 1, cfg.enc_hidden) for _ in range(N_CHANNELS)]
         decoder = LstmCellParams.init(rng, N_CHANNELS * cfg.enc_hidden, cfg.dec_hidden)
         head = DenseParams.init(rng, cfg.dec_hidden, N_CHANNELS, activation="identity")
-        return cls(encoders, decoder, head, cfg.window, mu, sd)
+        return cls(encoders, decoder, head, cfg.window, std)
 
     # -- parameter plumbing ---------------------------------------------
     def param_arrays(self) -> list[np.ndarray]:
@@ -96,9 +96,6 @@ class LstmAutoencoder:
         arrays += [self.decoder.w_input, self.decoder.w_hidden, self.decoder.bias]
         arrays += [self.head.w, self.head.b]
         return arrays
-
-    def standardize(self, windows: np.ndarray) -> np.ndarray:
-        return (windows - self.mu) / self.sd
 
     # -- forward / backward ----------------------------------------------
     def _forward(self, xs: np.ndarray, want_cache: bool):
@@ -121,7 +118,7 @@ class LstmAutoencoder:
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:
         """Raw windows in, reconstruction in standardized space out."""
-        recon, _ = self._forward(self.standardize(windows), want_cache=False)
+        recon, _ = self._forward(self.std.apply(windows), want_cache=False)
         return recon
 
     def loss(self, batch: np.ndarray) -> float:
@@ -152,7 +149,7 @@ class LstmAutoencoder:
 
     # -- persistence -------------------------------------------------------
     def to_checkpoint(self) -> Checkpoint:
-        arrays = {"mu": self.mu, "sd": self.sd,
+        arrays = {"mu": self.std.mu, "sd": self.std.sd,
                   "dec_wx": self.decoder.w_input, "dec_wh": self.decoder.w_hidden,
                   "dec_b": self.decoder.bias, "head_w": self.head.w, "head_b": self.head.b}
         for ch, enc in enumerate(self.encoders):
@@ -170,9 +167,12 @@ class LstmAutoencoder:
         ]
         decoder = LstmCellParams(ckpt.arrays["dec_wx"], ckpt.arrays["dec_wh"],
                                  ckpt.arrays["dec_b"])
+        for cell in (*encoders, decoder):
+            cell.validate()
         head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"], "identity")
-        return cls(encoders, decoder, head, int(ckpt.meta["window"]),
-                   ckpt.arrays["mu"], ckpt.arrays["sd"])
+        std = Standardizer(ckpt.arrays["mu"], ckpt.arrays["sd"])
+        std.validate(N_CHANNELS)
+        return cls(encoders, decoder, head, int(ckpt.meta["window"]), std)
 
 
 def as_features(series) -> np.ndarray:
@@ -204,14 +204,12 @@ def train_autoencoder(normal: TimeSeriesDataset, cfg: CpdConfig,
         raise InvariantViolation("normal series shorter than one window")
     rng = np.random.default_rng(seed)
 
-    mu = x.mean(axis=0)
-    sd = np.maximum(x.std(axis=0), 1e-9)
-    model = LstmAutoencoder.init(rng, cfg, mu, sd)
+    model = LstmAutoencoder.init(rng, cfg, Standardizer.fit(x))
 
     n_positions = len(x) - cfg.window + 1
     n_take = min(cfg.max_train_windows, n_positions)
     positions = rng.choice(n_positions, size=n_take, replace=False)
-    windows = model.standardize(sliding_windows(x, cfg.window)[positions])
+    windows = model.std.apply(sliding_windows(x, cfg.window)[positions])
     n_val = max(1, int(cfg.val_frac * n_take))
     val, trn = windows[:n_val], windows[n_val:]
     if len(trn) == 0:
@@ -240,7 +238,7 @@ def reconstruction_errors(model: LstmAutoencoder, series,
     windows = sliding_windows(x, model.window)
     out = np.empty(len(windows))
     for i in range(0, len(windows), batch):
-        chunk = model.standardize(np.ascontiguousarray(windows[i:i + batch]))
+        chunk = model.std.apply(np.ascontiguousarray(windows[i:i + batch]))
         recon, _ = model._forward(chunk, want_cache=False)
         diff = recon - chunk
         out[i:i + batch] = np.mean(diff * diff, axis=(1, 2))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REGIMES, RunConfig, load_run_config, save_run_config
+from .config import RunConfig, load_run_config, save_run_config
 from .errors import ConfigError, FaultlabError
 from .simgen import N_FAULT_CLASSES, generate_dataset, read_csv, write_csv
 

@@ -25,10 +25,6 @@ class TrainingDivergedError(FaultlabError, RuntimeError):
     """Training produced a non-finite loss."""
 
 
-class NotTrainedError(FaultlabError, RuntimeError):
-    """A model was used before it was fitted."""
-
-
 class ConfigError(FaultlabError, ValueError):
     """A configuration value is out of range or inconsistent."""
 

@@ -3,6 +3,7 @@
 from .layers import (
     DenseParams,
     LstmCellParams,
+    Standardizer,
     dense_forward_batch,
     lstm_cell_forward,
     lstm_forward_batch,
@@ -23,6 +24,7 @@ __all__ = [
     "EarlyStopConfig",
     "GradCheckReport",
     "LstmCellParams",
+    "Standardizer",
     "TrainResult",
     "adam_step",
     "check_gradients",

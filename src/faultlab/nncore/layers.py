@@ -1,8 +1,9 @@
-"""LSTM and dense layer primitives with hand-derived backward passes.
+"""LSTM and dense layer primitives with hand-derived backward passes, plus
+the z-score Standardizer every model applies to its inputs.
 
 All math is float64. Batched sequence arrays are shaped (B, T, dim); the
 thin single-sequence wrappers near the bottom take (T, dim) and plain
-vectors, which is the surface most callers and tests use.
+vectors, and serve the tests as reference oracles for the batched pass.
 
 LSTM gate layout: the 4H rows of ``w_input``/``w_hidden`` (and entries of
 ``bias``) are sliced as [input gate | forget gate | candidate | output gate].
@@ -11,13 +12,13 @@ Gates use the logistic sigmoid, the candidate uses tanh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatchError
+from ..errors import InvariantViolation, ShapeMismatchError
 
-ACTIVATIONS = ("identity", "softmax", "sigmoid", "tanh")
+ACTIVATIONS = ("identity", "softmax")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -35,6 +36,28 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+@dataclass
+class Standardizer:
+    """Per-column z-score: (x - mu) / sd, with sd floored at 1e-9."""
+
+    mu: np.ndarray
+    sd: np.ndarray
+
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "Standardizer":
+        return cls(x.mean(axis=0), np.maximum(x.std(axis=0), 1e-9))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mu) / self.sd
+
+    def validate(self, n_cols: int) -> None:
+        if self.mu.shape != (n_cols,) or self.sd.shape != (n_cols,):
+            raise ShapeMismatchError(
+                f"standardizer shapes {self.mu.shape}/{self.sd.shape}, expected ({n_cols},)")
+        if not (np.all(np.isfinite(self.mu)) and np.all(self.sd > 0)):
+            raise InvariantViolation("standardizer needs a finite mu and a positive sd")
 
 
 @dataclass
@@ -57,6 +80,8 @@ class LstmCellParams:
         return self.w_input.shape[1]
 
     def validate(self) -> None:
+        if self.w_input.ndim != 2 or self.w_hidden.ndim != 2:
+            raise ShapeMismatchError("LSTM weights must be matrices")
         h = self.hidden_size
         if self.w_input.shape[0] != 4 * h or self.w_hidden.shape != (4 * h, h):
             raise ShapeMismatchError(
@@ -260,10 +285,6 @@ def dense_forward_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:
     z = x @ p.w.T + p.b
     if p.activation == "identity":
         return z
-    if p.activation == "sigmoid":
-        return sigmoid(z)
-    if p.activation == "tanh":
-        return np.tanh(z)
     return softmax(z, axis=-1)
 
 
@@ -277,10 +298,6 @@ def dense_backward_batch(
     """
     if p.activation == "identity":
         dz = d_out
-    elif p.activation == "sigmoid":
-        dz = d_out * out * (1.0 - out)
-    elif p.activation == "tanh":
-        dz = d_out * (1.0 - out * out)
     else:  # softmax: full Jacobian-vector product, row-wise
         dz = out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
     flat_x = x.reshape(-1, p.in_size)

@@ -6,7 +6,7 @@ and unpack them so the optimizer itself only ever sees one flat vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,6 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-
-    def reset(self) -> None:
-        self.t = 0
-        self.m = None
-        self.v = None
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:

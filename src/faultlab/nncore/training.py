@@ -32,7 +32,6 @@ class TrainableModel(Protocol):
 class EarlyStopConfig:
     patience: int = 6
     min_delta: float = 1e-5
-    restore_best: bool = True
 
 
 @dataclass
@@ -99,15 +98,14 @@ def train(
             best_val = float(val_loss)
             best_epoch = epoch
             bad_epochs = 0
-            if early.restore_best:
-                best_snapshot = pack(params).copy()
+            best_snapshot = pack(params)
         else:
             bad_epochs += 1
             if bad_epochs > early.patience:
                 result.stopped_early = True
                 break
 
-    if early.restore_best and best_snapshot is not None:
+    if best_snapshot is not None:
         unpack_into(best_snapshot, params)
     result.best_epoch = best_epoch
     result.best_val_loss = best_val if np.isfinite(best_val) else float(result.val_losses[-1])

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SegclassConfig
-from .errors import (
-    DegenerateDataError,
-    InvariantViolation,
-    NotTrainedError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
 from .evaluation import EvalReport, confusion, metrics
-from .nncore import Checkpoint
+from .nncore import Checkpoint, Standardizer
 from .nncore.layers import softmax
 from .simgen import TimeSeriesDataset
 
@@ -71,29 +66,25 @@ def window_stats(windows: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def windowize(dataset: TimeSeriesDataset, window: int, stride: int) -> WindowFeatures:
-    """Feature row per window position; label = majority fault class."""
+def windowize_features(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """(T, 3) matrix -> one feature row per window position."""
     if window < 1 or stride < 1:
         raise InvariantViolation("window and stride must be >= 1")
-    x = dataset.features()
-    if window > len(x):
-        raise ShapeMismatchError(f"window {window} larger than series {len(x)}")
-    starts = np.arange(0, len(x) - window + 1, stride)
-    windows = np.stack([x[s:s + window] for s in starts])
-    feats = window_stats(windows)
-    labels = np.empty(len(starts), dtype=np.int64)
-    for i, s in enumerate(starts):
-        vals, counts = np.unique(dataset.fault_class[s:s + window], return_counts=True)
-        labels[i] = int(vals[np.argmax(counts)])  # ties -> lowest class id
-    return WindowFeatures(feats, labels)
-
-
-def windowize_features(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Unlabeled variant used at inference time; x is a (T, 3) matrix."""
     if window > len(x):
         raise ShapeMismatchError(f"window {window} larger than series {len(x)}")
     starts = np.arange(0, len(x) - window + 1, stride)
     return window_stats(np.stack([x[s:s + window] for s in starts]))
+
+
+def windowize(dataset: TimeSeriesDataset, window: int, stride: int) -> WindowFeatures:
+    """Feature row per window position; label = majority fault class."""
+    feats = windowize_features(dataset.features(), window, stride)
+    labels = np.empty(len(feats), dtype=np.int64)
+    for i in range(len(feats)):
+        s = i * stride
+        vals, counts = np.unique(dataset.fault_class[s:s + window], return_counts=True)
+        labels[i] = int(vals[np.argmax(counts)])  # ties -> lowest class id
+    return WindowFeatures(feats, labels)
 
 
 # --- decision tree ----------------------------------------------------------
@@ -202,13 +193,8 @@ def _first_leaf(node: _Node) -> _Node:
 
 
 @dataclass
-class _TreeImpl:
-    root: _Node
-
-
-@dataclass
 class _ForestImpl:
-    roots: list[_Node]
+    roots: list[_Node]  # a decision tree is a forest of one
 
 
 @dataclass
@@ -222,8 +208,7 @@ class _NbImpl:
 class _LinearImpl:
     w: np.ndarray          # (C, d), applies to standardized features
     b: np.ndarray          # (C,)
-    mu: np.ndarray
-    sd: np.ndarray
+    std: Standardizer
 
 
 @dataclass
@@ -231,7 +216,6 @@ class ClassifierModel:
     kind: str
     classes: np.ndarray
     impl: object
-    trained: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -256,8 +240,7 @@ def train_classifier(kind: str, rows: WindowFeatures, cfg: SegclassConfig | None
     rng = np.random.default_rng(seed)
 
     if kind == "decision_tree":
-        root = _grow_tree(x, y_idx, n_classes, 0, cfg, None, None)
-        impl: object = _TreeImpl(root)
+        impl: object = _ForestImpl([_grow_tree(x, y_idx, n_classes, 0, cfg, None, None)])
     elif kind == "random_forest":
         if cfg.rf_feature_frac is None:
             n_feats = max(1, int(round(np.sqrt(x.shape[1]))))
@@ -289,9 +272,8 @@ def train_classifier(kind: str, rows: WindowFeatures, cfg: SegclassConfig | None
 
 def _fit_linear(kind: str, x: np.ndarray, y_idx: np.ndarray, n_classes: int,
                 cfg: SegclassConfig, rng: np.random.Generator) -> _LinearImpl:
-    mu = x.mean(axis=0)
-    sd = np.maximum(x.std(axis=0), 1e-9)
-    xs = (x - mu) / sd
+    std = Standardizer.fit(x)
+    xs = std.apply(x)
     n, d = xs.shape
     w = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
@@ -333,17 +315,13 @@ def _fit_linear(kind: str, x: np.ndarray, y_idx: np.ndarray, n_classes: int,
                     wa[yi] += eta * xa[i]
                     wa[r] -= eta * xa[i]
         w, b = wa[:, :-1], wa[:, -1].copy()
-    return _LinearImpl(w, b, mu, sd)
+    return _LinearImpl(w, b, std)
 
 
 def scores_batch(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
     """Per-class scores (n, C) aligned with model.classes."""
-    if not model.trained:
-        raise NotTrainedError("classifier not trained")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     impl = model.impl
-    if isinstance(impl, _TreeImpl):
-        return _tree_scores(impl.root, x)
     if isinstance(impl, _ForestImpl):
         acc = np.zeros((len(x), len(model.classes)))
         for root in impl.roots:
@@ -355,8 +333,7 @@ def scores_batch(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
             ll = -0.5 * (np.log(2 * np.pi * impl.var[c]) + (x - impl.mu[c]) ** 2 / impl.var[c])
             out[:, c] = impl.log_prior[c] + ll.sum(axis=1)
         return out
-    xs = (x - impl.mu) / impl.sd
-    return xs @ impl.w.T + impl.b
+    return impl.std.apply(x) @ impl.w.T + impl.b
 
 
 def predict_batch(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,15 +422,9 @@ def to_checkpoint(model: ClassifierModel) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {"classes": model.classes.astype(np.int64)}
     impl = model.impl
     meta = {"kind": model.kind}
-    if isinstance(impl, _TreeImpl):
-        roots = [impl.root]
-    elif isinstance(impl, _ForestImpl):
-        roots = impl.roots
-    else:
-        roots = []
-    if roots:
-        meta["n_trees"] = len(roots)
-        for i, root in enumerate(roots):
+    if isinstance(impl, _ForestImpl):
+        meta["n_trees"] = len(impl.roots)
+        for i, root in enumerate(impl.roots):
             f, t, l, r, d = _flatten_tree(root, len(model.classes))
             arrays[f"t{i}_feat"] = f
             arrays[f"t{i}_thr"] = t
@@ -463,7 +434,7 @@ def to_checkpoint(model: ClassifierModel) -> Checkpoint:
     elif isinstance(impl, _NbImpl):
         arrays.update(mu=impl.mu, var=impl.var, log_prior=impl.log_prior)
     else:
-        arrays.update(w=impl.w, b=impl.b, mu=impl.mu, sd=impl.sd)
+        arrays.update(w=impl.w, b=impl.b, mu=impl.std.mu, sd=impl.std.sd)
     return Checkpoint(kind="segclass", meta=meta, arrays=arrays)
 
 
@@ -471,16 +442,15 @@ def from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
     kind = ckpt.meta["kind"]
     classes = ckpt.arrays["classes"]
     if kind in ("decision_tree", "random_forest"):
-        roots = [
+        impl: object = _ForestImpl([
             _rebuild_tree(ckpt.arrays[f"t{i}_feat"], ckpt.arrays[f"t{i}_thr"],
                           ckpt.arrays[f"t{i}_left"], ckpt.arrays[f"t{i}_right"],
                           ckpt.arrays[f"t{i}_dist"])
             for i in range(int(ckpt.meta["n_trees"]))
-        ]
-        impl: object = _TreeImpl(roots[0]) if kind == "decision_tree" else _ForestImpl(roots)
+        ])
     elif kind == "naive_bayes":
         impl = _NbImpl(ckpt.arrays["mu"], ckpt.arrays["var"], ckpt.arrays["log_prior"])
     else:
         impl = _LinearImpl(ckpt.arrays["w"], ckpt.arrays["b"],
-                           ckpt.arrays["mu"], ckpt.arrays["sd"])
+                           Standardizer(ckpt.arrays["mu"], ckpt.arrays["sd"]))
     return ClassifierModel(kind=kind, classes=classes, impl=impl)

@@ -14,7 +14,7 @@ false-positive temptation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,9 @@ class TelemetryRecord:
 
 @dataclass
 class FaultSpec:
-    """A fault class plus its family; params may override signature knobs."""
+    """A fault class plus its family."""
 
     class_id: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.class_id not in FAMILIES:
@@ -197,8 +196,8 @@ def simulate_normal(cfg: SimConfig, n: int | None = None,
 
 
 def inject_fault(ds: TimeSeriesDataset, spec: FaultSpec, start: int, length: int,
-                 rng: np.random.Generator | int) -> TimeSeriesDataset:
-    """Apply one fault window in place; returns the same dataset.
+                 rng: np.random.Generator | int, sig: FaultSignatures) -> TimeSeriesDataset:
+    """Apply one fault window in place, shaped by `sig`; returns the same dataset.
 
     Rejects windows that fall outside the series or touch a previously
     injected fault.
@@ -215,9 +214,6 @@ def inject_fault(ds: TimeSeriesDataset, spec: FaultSpec, start: int, length: int
         raise InvariantViolation(
             f"fault window [{start}, {start + length}) overlaps an existing fault"
         )
-    sig = spec.params.get("signatures")
-    if sig is None:
-        sig = getattr(ds, "_signatures", None) or FaultSignatures()
     end = start + length
     w = slice(start, end)
     cid = spec.class_id
@@ -258,10 +254,6 @@ def inject_fault(ds: TimeSeriesDataset, spec: FaultSpec, start: int, length: int
     return ds
 
 
-def _attach_signatures(ds: TimeSeriesDataset, cfg: SimConfig) -> None:
-    ds._signatures = cfg.signatures
-
-
 def true_fault_windows(ds: TimeSeriesDataset) -> list[tuple[int, int, int]]:
     """Ground-truth fault extents as (start, end, class_id) half-open triples."""
     out = []
@@ -294,7 +286,6 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
         # Back-to-back fault windows tiling the whole series; classes cycle
         # through shuffled permutations so every class appears.
         ds = simulate_normal(cfg, n=n, rng=rng, benign=False)
-        _attach_signatures(ds, cfg)
         lo, hi = cfg.anomaly_window_len
         pos = 0
         class_queue: list[int] = []
@@ -304,7 +295,8 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
             length = int(rng.integers(lo, hi + 1))
             if n - pos - length < lo:
                 length = n - pos
-            inject_fault(ds, FaultSpec(int(class_queue.pop())), pos, length, rng)
+            inject_fault(ds, FaultSpec(int(class_queue.pop())), pos, length, rng,
+                         cfg.signatures)
             pos += length
         ds.regime = "anomaly_only"
         ds.validate()
@@ -312,7 +304,6 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
 
     # mixed
     ds = simulate_normal(cfg, n=n, rng=rng)
-    _attach_signatures(ds, cfg)
     pool = tuple(cfg.mixed_classes) if cfg.mixed_classes else tuple(range(1, N_FAULT_CLASSES + 1))
     target = int(round(cfg.fault_rate * n))
     lo, hi = cfg.fault_len
@@ -332,7 +323,8 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
         # stay near-balanced even with few windows.
         if not class_queue:
             class_queue = list(rng.permutation(np.asarray(pool)))
-        inject_fault(ds, FaultSpec(int(class_queue.pop())), start, length, rng)
+        inject_fault(ds, FaultSpec(int(class_queue.pop())), start, length, rng,
+                     cfg.signatures)
         total += length
     ds.regime = "mixed"
     ds.validate()
@@ -397,6 +389,10 @@ def read_csv(path: str | Path) -> TimeSeriesDataset:
             raise CsvFormatError(line_no, "anomaly flag inconsistent with fault_class")
         if i > 0 and timestamps[i] <= timestamps[i - 1]:
             raise CsvFormatError(line_no, "timestamps not strictly increasing")
+    finite = np.isfinite(energy) & np.isfinite(duration)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CsvFormatError(i + 2, f"non-finite energy {energy[i]} or duration {duration[i]}")
 
     if n and bool(np.all(anomaly)):
         regime = "anomaly_only"

@@ -5,7 +5,6 @@ import pytest
 
 from faultlab.cascade import (
     N_CLASSES,
-    CascadeInputs,
     SequenceClassifier,
     SmtcnnModels,
     Standardizer,
@@ -39,14 +38,14 @@ def tiny_models(variant="b2_no_cpd", seed=0, with_seg=False):
     cpd_cfg = CpdConfig(window=4, enc_hidden=3, dec_hidden=4, min_gap=2, min_len=1)
     auto = threshold = None
     if variant != "b2_no_cpd":
-        auto = LstmAutoencoder.init(rng, cpd_cfg, np.zeros(3), np.ones(3))
+        auto = LstmAutoencoder.init(rng, cpd_cfg, Standardizer(np.zeros(3), np.ones(3)))
         threshold = ThresholdSpec(mu=0.5, sigma=0.1, k=3.0, tau=0.8)
     seg_model = None
     if with_seg:
         seg_model = ClassifierModel(
             kind="sgd_linear", classes=np.array([4, 7]),
             impl=_LinearImpl(w=np.zeros((2, 15)), b=np.zeros(2),
-                             mu=np.zeros(15), sd=np.ones(15)))
+                             std=Standardizer(np.zeros(15), np.ones(15))))
     return SmtcnnModels(
         variant=variant,
         autoencoder=auto,
@@ -72,18 +71,6 @@ def test_chunk_series_pads_tail_with_ignore_label():
     assert np.array_equal(xs[0], x[:4])
     assert ys[2].tolist() == [9, 10, 0, 0]
     assert np.array_equal(xs[2, 2:], np.zeros((2, 2)))
-
-
-def test_cascade_inputs_validation():
-    x = np.zeros((5, 3))
-    good = CascadeInputs(x, np.array([0.0, 1, 1, 0, 0]), np.full(5, 0.5))
-    assert len(good.x) == 5
-    with pytest.raises(ShapeMismatchError):
-        CascadeInputs(x, np.zeros(4), np.zeros(5))
-    with pytest.raises(InvariantViolation):
-        CascadeInputs(x, np.full(5, 0.5), np.zeros(5))
-    with pytest.raises(InvariantViolation):
-        CascadeInputs(x, np.zeros(5), np.full(5, 1.5))
 
 
 # --- task 2 -------------------------------------------------------------------
@@ -134,7 +121,7 @@ def test_warm_start_bias_counts_votes():
     stub = ClassifierModel(
         kind="sgd_linear", classes=np.array([4, 7]),
         impl=_LinearImpl(w=np.zeros((2, 15)), b=np.zeros(2),
-                         mu=np.zeros(15), sd=np.ones(15)))
+                         std=Standardizer(np.zeros(15), np.ones(15))))
     cfg = SegclassConfig(window=16, stride=8)
     x = np.random.default_rng(0).normal(size=(200, 3))
     bias = warm_start_bias(stub, x, [Segment(0, 40)], cfg)

@@ -17,7 +17,7 @@ from faultlab.changepoint import (
 )
 from faultlab.config import CpdConfig
 from faultlab.errors import InvariantViolation, ShapeMismatchError
-from faultlab.nncore import load_checkpoint, save_checkpoint
+from faultlab.nncore import Standardizer, load_checkpoint, save_checkpoint
 
 
 TINY_CPD = CpdConfig(
@@ -140,15 +140,13 @@ def test_autoencoder_ctor_shape_checks(rng):
     from faultlab.nncore import LstmCellParams
 
     cfg = TINY_CPD
-    model = LstmAutoencoder.init(rng, cfg, np.zeros(3), np.ones(3))
+    model = LstmAutoencoder.init(rng, cfg, Standardizer(np.zeros(3), np.ones(3)))
     with pytest.raises(ShapeMismatchError):
-        LstmAutoencoder(model.encoders[:2], model.decoder, model.head,
-                        cfg.window, np.zeros(3), np.ones(3))
+        LstmAutoencoder(model.encoders[:2], model.decoder, model.head, cfg.window, model.std)
     # decoder expecting the wrong latent width is rejected
     narrow = LstmCellParams.init(rng, 2 * cfg.enc_hidden, cfg.dec_hidden)
     with pytest.raises(ShapeMismatchError):
-        LstmAutoencoder(model.encoders, narrow, model.head,
-                        cfg.window, np.zeros(3), np.ones(3))
+        LstmAutoencoder(model.encoders, narrow, model.head, cfg.window, model.std)
 
 
 def test_train_rejects_non_normal_regime(mixed_small):
@@ -200,6 +198,6 @@ def test_checkpoint_round_trip(tmp_path, normal_small):
 
 def test_reconstruction_errors_rejects_bad_series():
     model = LstmAutoencoder.init(np.random.default_rng(0), TINY_CPD,
-                                 np.zeros(3), np.ones(3))
+                                 Standardizer(np.zeros(3), np.ones(3)))
     with pytest.raises(ShapeMismatchError):
         reconstruction_errors(model, np.zeros((50, 2)))

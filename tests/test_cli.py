@@ -146,6 +146,36 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
         assert "config error" in err and repr(key) in err
 
 
+@pytest.mark.parametrize("file,keys,value", [
+    ("manifest", ("meta", "chunk_len"), "x"),
+    ("cpd", ("meta", "threshold", "mu"), "x"),
+    ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
+    ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [4], "data": [0.0] * 4}),
+    ("task3", ("arrays", "head_w"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
+    ("cpd", ("arrays", "dec_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
+    ("manifest", ("arrays", "std_mu"), {"dtype": "f8", "shape": [2], "data": [0.0] * 2}),
+    ("cpd", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}),
+], ids=["chunk_len-str", "threshold_mu-str", "l1_wh-2x2", "l1_wh-1d", "head_w-2x2",
+        "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero"])
+def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
+    series = tmp_path / "s.csv"
+    run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
+    models = tmp_path / "models"
+    save_models(tiny_models("full"), models)
+    path = models / f"{file}.json"
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    code = run("infer", "--models", str(models), "--in", str(series),
+               "--out", str(tmp_path / "pred.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and f"{file}.json" in err
+
+
 def test_infer_rejects_seed_and_config(tmp_path, capsys):
     series = tmp_path / "s.csv"
     run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")

@@ -317,13 +317,13 @@ class _Flat(_Quadratic):
 
 def test_early_stopping_and_restore():
     model = _Flat()
-    early = EarlyStopConfig(patience=3, min_delta=1e-5, restore_best=True)
+    early = EarlyStopConfig(patience=3, min_delta=1e-5)
     result = train(model, lambda rng: [None], None,
                    adam=AdamState(alpha=0.1), max_epochs=50, early=early)
     assert result.stopped_early
     assert result.best_epoch == 1
     assert result.epochs_run == early.patience + 2
-    # restore_best rewinds to the epoch-1 snapshot
+    # training rewinds to the epoch-1 snapshot
     exp = _Flat()
     train(exp, lambda rng: [None], None, adam=AdamState(alpha=0.1), max_epochs=1)
     assert_allclose(model.w, exp.w, atol=1e-15)

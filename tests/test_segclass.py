@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from faultlab.config import SegclassConfig
-from faultlab.errors import (
-    DegenerateDataError,
-    InvariantViolation,
-    NotTrainedError,
-    ShapeMismatchError,
-)
-from faultlab.nncore import load_checkpoint, save_checkpoint
+from faultlab.errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
+from faultlab.nncore import Standardizer, load_checkpoint, save_checkpoint
 from faultlab.segclass import (
     FEATURE_NAMES,
     KINDS,
@@ -144,7 +139,7 @@ def test_forest_seed_changes_bootstrap(blobs):
 
 def test_tie_breaks_to_lowest_class():
     zero = _LinearImpl(w=np.zeros((2, 3)), b=np.zeros(2),
-                       mu=np.zeros(3), sd=np.ones(3))
+                       std=Standardizer(np.zeros(3), np.ones(3)))
     model = ClassifierModel(kind="sgd_linear", classes=np.array([3, 7]), impl=zero)
     preds, _ = predict_batch(model, np.ones((4, 3)))
     assert preds.tolist() == [3, 3, 3, 3]
@@ -172,13 +167,6 @@ def test_degenerate_inputs():
         ClassifierModel(kind="xgboost", classes=np.array([1, 2]), impl=None)
 
 
-def test_untrained_model_refuses_to_score(blobs):
-    model = train_classifier("decision_tree", blobs, seed=0)
-    model.trained = False
-    with pytest.raises(NotTrainedError):
-        scores_batch(model, blobs.features)
-
-
 # --- scoring formulas (inspectability) ----------------------------------------
 
 
@@ -197,7 +185,7 @@ def test_linear_scores_match_formula(blobs):
     model = train_classifier("logistic_regression", blobs, seed=0)
     impl = model.impl
     x = blobs.features[:8]
-    want = ((x - impl.mu) / impl.sd) @ impl.w.T + impl.b
+    want = ((x - impl.std.mu) / impl.std.sd) @ impl.w.T + impl.b
     assert np.allclose(scores_batch(model, x), want, atol=0, rtol=1e-14)
 
 

@@ -138,18 +138,18 @@ def test_fault_spec_range():
 def test_inject_rejects_overlap_and_bounds(small_cfg):
     ds = _fresh(small_cfg)
     rng = np.random.default_rng(0)
-    inject_fault(ds, FaultSpec(1), 100, 50, rng)
+    inject_fault(ds, FaultSpec(1), 100, 50, rng, small_cfg.signatures)
     with pytest.raises(InvariantViolation):
-        inject_fault(ds, FaultSpec(2), 120, 50, rng)
+        inject_fault(ds, FaultSpec(2), 120, 50, rng, small_cfg.signatures)
     with pytest.raises(InvariantViolation):
-        inject_fault(ds, FaultSpec(2), len(ds) - 10, 20, rng)
+        inject_fault(ds, FaultSpec(2), len(ds) - 10, 20, rng, small_cfg.signatures)
     with pytest.raises(InvariantViolation):
-        inject_fault(ds, FaultSpec(2), -1, 5, rng)
+        inject_fault(ds, FaultSpec(2), -1, 5, rng, small_cfg.signatures)
 
 
 def test_inject_marks_labels(small_cfg):
     ds = _fresh(small_cfg)
-    inject_fault(ds, FaultSpec(9), 200, 40, np.random.default_rng(0))
+    inject_fault(ds, FaultSpec(9), 200, 40, np.random.default_rng(0), small_cfg.signatures)
     assert ds.anomaly[200:240].all()
     assert (ds.fault_class[200:240] == 9).all()
     assert not ds.anomaly[199] and not ds.anomaly[240]
@@ -161,7 +161,7 @@ def test_undervoltage_severity_ordering(small_cfg):
     for cls in (1, 6):
         ds = _fresh(small_cfg)
         before = ds.energy[300:400].mean()
-        inject_fault(ds, FaultSpec(cls), 300, 100, np.random.default_rng(1))
+        inject_fault(ds, FaultSpec(cls), 300, 100, np.random.default_rng(1), small_cfg.signatures)
         drops.append(before - ds.energy[300:400].mean())
     sig = small_cfg.signatures
     assert drops[1] > drops[0] > 0
@@ -172,19 +172,19 @@ def test_undervoltage_severity_ordering(small_cfg):
 
 def test_stuck_faults_freeze_their_channel(small_cfg):
     ds = _fresh(small_cfg)
-    inject_fault(ds, FaultSpec(7), 500, 60, np.random.default_rng(2))
+    inject_fault(ds, FaultSpec(7), 500, 60, np.random.default_rng(2), small_cfg.signatures)
     assert np.ptp(ds.energy[500:560]) == 0.0  # frozen at the start value
     assert ds.duration[500:560].mean() > ds.duration[440:500].mean()
 
     ds = _fresh(small_cfg)
-    inject_fault(ds, FaultSpec(8), 500, 60, np.random.default_rng(2))
+    inject_fault(ds, FaultSpec(8), 500, 60, np.random.default_rng(2), small_cfg.signatures)
     assert np.ptp(ds.duration[500:560]) == 0.0
     assert ds.cpu[500:560].mean() > ds.cpu[440:500].mean()
 
 
 def test_mcu_fault_saturates_cpu(small_cfg):
     ds = _fresh(small_cfg)
-    inject_fault(ds, FaultSpec(9), 600, 80, np.random.default_rng(3))
+    inject_fault(ds, FaultSpec(9), 600, 80, np.random.default_rng(3), small_cfg.signatures)
     tail = ds.cpu[640:680]  # past the ramp-up quarter
     assert abs(tail.mean() - small_cfg.signatures.mcu_cpu_targets[0]) < 0.02
     assert ds.duration[600:680].mean() > 1.4 * ds.duration[520:600].mean()
@@ -193,7 +193,7 @@ def test_mcu_fault_saturates_cpu(small_cfg):
 def test_overflow_fault_spikes_duration(small_cfg):
     ds = _fresh(small_cfg)
     before = ds.duration[700:800].mean()
-    inject_fault(ds, FaultSpec(11), 700, 100, np.random.default_rng(4))
+    inject_fault(ds, FaultSpec(11), 700, 100, np.random.default_rng(4), small_cfg.signatures)
     after = ds.duration[700:800]
     assert after.mean() > 1.4 * before
     assert after.max() > 2.5 * before  # the spiking half
@@ -202,7 +202,7 @@ def test_overflow_fault_spikes_duration(small_cfg):
 def test_zero_length_injection_is_noop(small_cfg):
     ds = _fresh(small_cfg)
     ref = _fresh(small_cfg)
-    inject_fault(ds, FaultSpec(1), 100, 0, np.random.default_rng(0))
+    inject_fault(ds, FaultSpec(1), 100, 0, np.random.default_rng(0), small_cfg.signatures)
     assert ds == ref
 
 
@@ -239,13 +239,28 @@ def test_csv_rejects_bad_row(tmp_path, normal_small):
     assert err.value.line_no == 2
 
 
-def test_csv_rejects_out_of_range_values(tmp_path, normal_small):
-    path = tmp_path / "bad.csv"
-    write_csv(normal_small.slice(0, 5), path)
+def _csv_with_field(path, ds, column: int, value: str):
+    """Write ds as CSV, then set one field of its third data row (line 4)."""
+    write_csv(ds, path)
     lines = path.read_text().splitlines()
     parts = lines[3].split(",")
-    parts[2] = "1.5"  # cpu must stay within [0, 1]
+    parts[column] = value
     lines[3] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_csv_rejects_out_of_range_values(tmp_path, normal_small):
+    # cpu must stay within [0, 1]
+    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), 2, "1.5")
     with pytest.raises(CsvFormatError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("column", [1, 3])  # energy, duration
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, normal_small, column, value):
+    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), column, value)
+    with pytest.raises(CsvFormatError) as err:
+        read_csv(path)
+    assert err.value.line_no == 4
