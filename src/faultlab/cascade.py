@@ -116,7 +116,7 @@ class SequenceClassifier:
         db_head = flat_dl.sum(axis=0)
         dh2 = dlogits @ self.head.w
         g2 = lstm_backward_batch(c2, dh2)
-        g1 = lstm_backward_batch(c1, g2.x)
+        g1 = lstm_backward_batch(c1, g2.x, want_dx=False)
         grads = [g1.w_input, g1.w_hidden, g1.bias,
                  g2.w_input, g2.w_hidden, g2.bias,
                  dw_head, db_head]

@@ -1,10 +1,11 @@
 """Unsupervised change-point detection.
 
 One LSTM encoder per channel reads a standardized window; the final hidden
-states are concatenated, repeated W times, and decoded by a single LSTM plus
-an identity dense head back to the window. Windows that reconstruct badly
-(error > tau = mu + k*sigma of the normal training errors) are change-points,
-and runs of flagged windows become proposed segments.
+states are concatenated into a latent z, and a single LSTM that reads z at
+each of the W steps, plus an identity dense head, decodes it back to the
+window. Windows that reconstruct badly (error > tau = mu + k*sigma of the
+normal training errors) are change-points, and runs of flagged windows become
+proposed segments.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ class LstmAutoencoder:
             latents.append(hs[:, -1, :])
             enc_caches.append(cache)
         z = np.concatenate(latents, axis=1)
-        dec_in = np.repeat(z[:, None, :], nw, axis=1)
+        # A zero-copy view: the decoder sees z at every step and projects it once.
+        dec_in = np.broadcast_to(z[:, None, :], (nb, nw, z.shape[1]))
         hd, dec_cache = lstm_forward_batch(dec_in, self.decoder, want_cache=want_cache)
         recon = dense_forward_batch(hd, self.head)
-        caches = (enc_caches, dec_cache, dec_in, hd) if want_cache else None
+        caches = (enc_caches, dec_cache, hd) if want_cache else None
         return recon, caches
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:
@@ -129,19 +131,17 @@ class LstmAutoencoder:
     def loss_and_grads(self, batch: np.ndarray) -> tuple[float, list[np.ndarray]]:
         """batch: standardized windows (B, W, 3)."""
         recon, caches = self._forward(batch, want_cache=True)
-        enc_caches, dec_cache, dec_in, hd = caches
+        enc_caches, dec_cache, hd = caches
         value, d_recon = mse_loss(recon, batch)
 
         dw_head, db_head, dhd = dense_backward_batch(hd, recon, d_recon, self.head)
         dec_grads = lstm_backward_batch(dec_cache, dhd)
-        dz = dec_grads.x.sum(axis=1)  # decoder input is z repeated W times
+        dz = dec_grads.x.sum(axis=1)  # the decoder reads z at every step
 
         arrays = []
         h = self.encoders[0].hidden_size
-        for ch, (enc, cache) in enumerate(zip(self.encoders, enc_caches)):
-            dh_last = dz[:, ch * h:(ch + 1) * h]
-            zero_seq = np.zeros_like(cache.h)
-            g = lstm_backward_batch(cache, zero_seq, dh_last=dh_last)
+        for ch, cache in enumerate(enc_caches):
+            g = lstm_backward_batch(cache, dh_last=dz[:, ch * h:(ch + 1) * h], want_dx=False)
             arrays += [g.w_input, g.w_hidden, g.bias]
         arrays += [dec_grads.w_input, dec_grads.w_hidden, dec_grads.bias]
         arrays += [dw_head, db_head]

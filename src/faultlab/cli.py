@@ -104,7 +104,7 @@ def cmd_train_smtcnn(args) -> int:
     variant = VARIANT_ALIASES[args.ablation] if args.ablation else "full"
     datasets = {"mixed": read_csv(args.mixed), "normal_only": read_csv(args.normal),
                 "anomaly_only": read_csv(args.anomaly)}
-    save_models(train_whole(build_assets(cfg, datasets), variant), args.out)
+    save_models(train_whole(build_assets(cfg, datasets, (variant,)), variant), args.out)
     print(f"wrote {args.out}: variant={variant}")
     return 0
 
@@ -143,12 +143,12 @@ def cmd_eval(args) -> int:
     from .experiment import build_assets, run_variants
 
     cfg = _load_cfg(args)
-    assets = _stage("assets", lambda: build_assets(cfg))
+    variants = _variant_list(args.variant)
+    assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
     plan_seed = args.plan_seed if args.plan_seed is not None else cfg.stage_seed("seqcv")
     plan = seq_cv_plan(len(assets.mixed), folds=cfg.plan.folds, seed=plan_seed,
                        lo=cfg.plan.len_frac_lo, hi=cfg.plan.len_frac_hi)
-    reports = _stage("experiment",
-                     lambda: run_variants(assets, _variant_list(args.variant), plan))
+    reports = _stage("experiment", lambda: run_variants(assets, variants, plan))
     fmt = "csv" if args.out.endswith(".csv") else "markdown"
     text = render_report(reports, fmt=fmt, path=args.out)
     print(text, end="")
@@ -165,7 +165,7 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     variants = _variant_list(args.ablation)
 
-    assets = _stage("assets", lambda: build_assets(cfg))
+    assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
     for v in variants:
         models = _stage(f"train:{v}", lambda v=v: train_whole(assets, v))
         save_models(models, out / "models" / v)

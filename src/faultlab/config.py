@@ -29,6 +29,28 @@ def derive_seed(global_seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_ints(obj: Any, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        _check(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+               f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_fraction(name: str, value: Any) -> None:
+    """A share of the data held out or added: 0 <= value < 1."""
+    _check(_is_number(value) and 0.0 <= value < 1.0,
+           f"{name} must be a number in [0, 1), got {value!r}")
+
+
 @dataclass
 class FaultSignatures:
     """How each fault family manifests in the three channels.
@@ -129,6 +151,13 @@ class CpdConfig:
     min_gap: int = 2
     min_len: int = 8
 
+    def validate(self) -> None:
+        _check_ints(self, 1, "window", "enc_hidden", "dec_hidden", "max_epochs",
+                    "batch_windows", "max_train_windows")
+        _check_ints(self, 0, "patience", "min_gap", "min_len")
+        _check_fraction("val_frac", self.val_frac)
+        _check(_is_number(self.k) and self.k >= 0, f"k must be a number >= 0, got {self.k!r}")
+
 
 @dataclass
 class SegclassConfig:
@@ -173,6 +202,13 @@ class TaskNetConfig:
     val_frac: float = 0.2
     rebalance_frac: float | None = 0.45  # minority-chunk share of each epoch deck
 
+    def validate(self) -> None:
+        _check_ints(self, 1, "hidden", "max_epochs", "chunk_len", "batch_chunks")
+        _check_ints(self, 0, "patience")
+        _check_fraction("val_frac", self.val_frac)
+        if self.rebalance_frac is not None:
+            _check_fraction("rebalance_frac", self.rebalance_frac)
+
 
 @dataclass
 class EvalPlanConfig:
@@ -180,6 +216,15 @@ class EvalPlanConfig:
     len_frac_lo: float = 0.5
     len_frac_hi: float = 0.8
     min_valid_folds: int = 8
+
+    def validate(self) -> None:
+        _check_ints(self, 1, "folds")
+        _check_ints(self, 0, "min_valid_folds")
+        _check(self.min_valid_folds <= self.folds,
+               f"min_valid_folds {self.min_valid_folds} > folds {self.folds}")
+        lo, hi = self.len_frac_lo, self.len_frac_hi
+        _check(_is_number(lo) and _is_number(hi) and 0.0 < lo <= hi <= 1.0,
+               f"need 0 < len_frac_lo <= len_frac_hi <= 1, got {lo!r}, {hi!r}")
 
 
 @dataclass
@@ -216,6 +261,8 @@ def _from_dict(cls: type, data: dict) -> Any:
         ftype = known[key].type
         default = known[key].default_factory() if known[key].default_factory is not dataclasses.MISSING else None  # type: ignore[misc]
         if dataclasses.is_dataclass(default):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {key!r} must hold a JSON object")
             kwargs[key] = _from_dict(type(default), value)
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
@@ -235,4 +282,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    return _from_dict(RunConfig, data)
+    cfg = _from_dict(RunConfig, data)
+    for section in ("cpd", "task2", "task3", "plan"):
+        try:
+            getattr(cfg, section).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+    return cfg

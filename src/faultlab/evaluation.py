@@ -46,15 +46,29 @@ def confusion(preds, truth, classes: list[int] | None = None) -> ConfusionMatrix
     truth = np.asarray(truth)
     if preds.shape != truth.shape or preds.ndim != 1:
         raise ShapeMismatchError(f"preds {preds.shape} vs truth {truth.shape}")
+    truth_i, preds_i = truth.astype(np.int64), preds.astype(np.int64)
     if classes is None:
-        classes = sorted(set(int(v) for v in np.concatenate([preds, truth])))
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(truth, preds):
-        if int(t) not in index or int(p) not in index:
-            raise InvariantViolation(f"label {int(t) if int(t) not in index else int(p)} "
-                                     f"outside class set {classes}")
-        counts[index[int(t)], index[int(p)]] += 1
+        classes = np.unique(np.concatenate([preds_i, truth_i])).tolist()
+    n = len(classes)
+    # Label -> row index; a class listed twice maps to its last position.
+    cls = np.asarray(classes, dtype=np.int64)
+    order = np.argsort(cls, kind="stable")
+    ordered = cls[order]
+
+    def locate(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.searchsorted(ordered, labels, side="right") - 1
+        known = pos >= 0
+        known[known] = ordered[pos[known]] == labels[known]
+        return pos, known
+
+    t_pos, t_known = locate(truth_i)
+    p_pos, p_known = locate(preds_i)
+    bad = np.flatnonzero(~(t_known & p_known))
+    if len(bad):
+        k = bad[0]
+        label = truth_i[k] if not t_known[k] else preds_i[k]
+        raise InvariantViolation(f"label {int(label)} outside class set {classes}")
+    counts = np.bincount(order[t_pos] * n + order[p_pos], minlength=n * n).reshape(n, n)
     return ConfusionMatrix(counts, list(classes))
 
 

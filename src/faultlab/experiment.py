@@ -63,14 +63,20 @@ class ExperimentAssets:
     normal: TimeSeriesDataset
     anomaly: TimeSeriesDataset
     mixed: TimeSeriesDataset
-    autoencoder: LstmAutoencoder
-    threshold: ThresholdSpec
-    seg_model: ClassifierModel
-    mixed_errors: np.ndarray  # window reconstruction errors over the mixed stream
+    autoencoder: LstmAutoencoder | None
+    threshold: ThresholdSpec | None
+    seg_model: ClassifierModel | None
+    mixed_errors: np.ndarray | None  # window reconstruction errors over the mixed stream
 
 
 def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None = None,
-                 ) -> ExperimentAssets:
+                 variants: tuple[str, ...] = VARIANTS) -> ExperimentAssets:
+    """Datasets and the shared models that the given variants use.
+
+    b2_no_cpd alone needs no autoencoder, and b3_no_segclass alone no
+    segment classifier; a stage no variant uses stays None. Stage seeds are
+    derived by name, so a model comes out the same whichever others are built.
+    """
     if datasets is None:
         datasets = {r: generate_dataset(r, cfg.sim)
                     for r in ("normal_only", "anomaly_only", "mixed")}
@@ -81,13 +87,17 @@ def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None =
                     f"expected a {want} dataset, got {datasets[want].regime}")
     normal, anomaly, mixed = (datasets["normal_only"], datasets["anomaly_only"],
                               datasets["mixed"])
-    auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
-    threshold = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
-    rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
-    seg_model = train_classifier(cfg.seg.kind, rows, cfg.seg,
-                                 seed=cfg.stage_seed("segclass"))
+    auto = threshold = mixed_errors = seg_model = None
+    if any(v != "b2_no_cpd" for v in variants):
+        auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
+        threshold = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
+        mixed_errors = reconstruction_errors(auto, mixed)
+    if any(v != "b3_no_segclass" for v in variants):
+        rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
+        seg_model = train_classifier(cfg.seg.kind, rows, cfg.seg,
+                                     seed=cfg.stage_seed("segclass"))
     return ExperimentAssets(cfg, normal, anomaly, mixed, auto, threshold, seg_model,
-                            reconstruction_errors(auto, mixed))
+                            mixed_errors)
 
 
 def block_proposals(assets: ExperimentAssets, start: int, length: int, use_cpd: bool,
@@ -131,6 +141,9 @@ def train_task_nets(assets: ExperimentAssets, start: int, length: int, variant: 
     """
     cfg = assets.cfg
     use_cpd = variant != "b2_no_cpd"
+    if ((use_cpd and assets.autoencoder is None)
+            or (variant != "b3_no_segclass" and assets.seg_model is None)):
+        raise InvariantViolation(f"the assets lack a stage that variant {variant} uses")
     if use_cpd not in stages:
         train_ds = assets.mixed.slice(start, start + length)
         x = train_ds.features()

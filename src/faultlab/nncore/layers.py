@@ -8,6 +8,20 @@ vectors, and serve the tests as reference oracles for the batched pass.
 LSTM gate layout: the 4H rows of ``w_input``/``w_hidden`` (and entries of
 ``bias``) are sliced as [input gate | forget gate | candidate | output gate].
 Gates use the logistic sigmoid, the candidate uses tanh.
+
+The batched LSTM keeps the per-step floating-point work fixed: every step
+runs the same GEMMs and elementwise operations, in the same order, whatever
+the call needs around them. Only the work a call does not need is left out:
+
+- An input that is constant over time, passed as a zero-stride view such as
+  ``np.broadcast_to(z[:, None, :], (B, T, D))``, is projected once per call
+  instead of once per step; it is the same (B, D) @ (D, 4H) product on the
+  same rows.
+- Without ``want_cache`` the forward pass keeps no per-step gates or cell
+  states, only the hidden outputs it returns.
+- The backward pass takes no per-step gradient when only the final state
+  feeds downstream (``dh_seq=None``), and computes no input gradient when
+  nothing reads it (``want_dx=False``).
 """
 
 from __future__ import annotations
@@ -22,13 +36,13 @@ ACTIVATIONS = ("identity", "softmax")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
+    # exp never overflows. min(x, -x) is -|x| that also keeps a NaN's sign.
+    e = np.negative(x, out=np.empty_like(x))
+    np.exp(np.minimum(x, e, out=e), out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -167,7 +181,7 @@ class LstmGrads:
     w_input: np.ndarray
     w_hidden: np.ndarray
     bias: np.ndarray
-    x: np.ndarray    # gradient w.r.t. the input sequence
+    x: np.ndarray | None  # gradient w.r.t. the input sequence, None if not asked for
     h0: np.ndarray
     c0: np.ndarray
 
@@ -181,7 +195,8 @@ def lstm_forward_batch(
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Run an LSTM over a batch of sequences.
 
-    x: (B, T, D) -> hidden outputs (B, T, H).
+    x: (B, T, D) -> hidden outputs (B, T, H). A zero-stride time axis marks an
+    input that is constant over time; its projection is computed once.
     """
     if x.ndim != 3:
         raise ShapeMismatchError(f"expected (B, T, D) input, got shape {x.shape}")
@@ -198,27 +213,30 @@ def lstm_forward_batch(
 
     wx_t = p.w_input.T   # (D, 4H)
     wh_t = p.w_hidden.T  # (H, 4H)
-    gi = np.empty((nb, nt, nh))
-    gf = np.empty((nb, nt, nh))
-    gg = np.empty((nb, nt, nh))
-    go = np.empty((nb, nt, nh))
-    cs = np.empty((nb, nt, nh))
-    tcs = np.empty((nb, nt, nh))
+    x_proj = x[:, 0] @ wx_t if x.strides[1] == 0 else None
     hs = np.empty((nb, nt, nh))
+    if want_cache:
+        gi, gf, gg, go, cs, tcs = (np.empty((nb, nt, nh)) for _ in range(6))
     h0_saved, c0_saved = h_prev, c_prev
 
     for t in range(nt):
-        a = x[:, t, :] @ wx_t + h_prev @ wh_t + p.bias
-        i = sigmoid(a[:, :nh])
-        f = sigmoid(a[:, nh:2 * nh])
+        # (x W_x^T + h W_h^T) + b and f c + i g, summed in place; the sums
+        # commute, so the bits are those of the textbook expressions.
+        a = h_prev @ wh_t
+        a += x[:, t] @ wx_t if x_proj is None else x_proj
+        a += p.bias
+        i_f = sigmoid(a[:, :2 * nh])
+        i, f = i_f[:, :nh], i_f[:, nh:]
         g = np.tanh(a[:, 2 * nh:3 * nh])
         o = sigmoid(a[:, 3 * nh:])
-        c = f * c_prev + i * g
+        c = f * c_prev
+        c += i * g
         tc = np.tanh(c)
-        h = o * tc
-        gi[:, t], gf[:, t], gg[:, t], go[:, t] = i, f, g, o
-        cs[:, t], tcs[:, t], hs[:, t] = c, tc, h
-        h_prev, c_prev = h, c
+        h_prev = np.multiply(o, tc, out=hs[:, t])
+        if want_cache:
+            gi[:, t], gf[:, t], gg[:, t], go[:, t] = i, f, g, o
+            cs[:, t], tcs[:, t] = c, tc
+        c_prev = c
 
     cache = None
     if want_cache:
@@ -228,26 +246,29 @@ def lstm_forward_batch(
 
 def lstm_backward_batch(
     cache: LstmCache,
-    dh_seq: np.ndarray,
+    dh_seq: np.ndarray | None = None,
     dh_last: np.ndarray | None = None,
     dc_last: np.ndarray | None = None,
+    want_dx: bool = True,
 ) -> LstmGrads:
     """Backpropagate through time.
 
-    dh_seq: (B, T, H) upstream gradient on every hidden output; dh_last/dc_last
-    add extra gradient on the final hidden/cell state (used when only the last
-    state feeds downstream layers).
+    dh_seq: (B, T, H) upstream gradient on every hidden output, or None when
+    only the final state feeds downstream; dh_last/dc_last add extra gradient
+    on the final hidden/cell state. With want_dx=False the input gradient is
+    not computed and the returned ``x`` is None.
     """
     p = cache.params
     nb, nt, nd = cache.x.shape
     nh = p.hidden_size
-    if dh_seq.shape != cache.h.shape:
+    if dh_seq is not None and dh_seq.shape != cache.h.shape:
         raise ShapeMismatchError("dh_seq shape mismatch")
 
     d_wx = np.zeros_like(p.w_input)
     d_wh = np.zeros_like(p.w_hidden)
     d_b = np.zeros_like(p.bias)
-    dx = np.empty_like(cache.x)
+    dx = np.empty((nb, nt, nd)) if want_dx else None  # C order, also for a broadcast x
+    da = np.empty((nb, 4 * nh))  # same gate order as the parameter rows
     dh_carry = np.zeros((nb, nh)) if dh_last is None else dh_last.copy()
     dc_carry = np.zeros((nb, nh)) if dc_last is None else dc_last.copy()
 
@@ -257,7 +278,7 @@ def lstm_backward_batch(
         c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
         h_prev = cache.h[:, t - 1] if t > 0 else cache.h0
 
-        dh = dh_seq[:, t] + dh_carry
+        dh = dh_carry if dh_seq is None else dh_seq[:, t] + dh_carry
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_carry
         di = dc * g
@@ -265,14 +286,15 @@ def lstm_backward_batch(
         df = dc * c_prev
         dc_carry = dc * f
 
-        da = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-            axis=1,
-        )  # (B, 4H), same gate order as the parameter rows
+        np.multiply(di * i, 1.0 - i, out=da[:, :nh])
+        np.multiply(df * f, 1.0 - f, out=da[:, nh:2 * nh])
+        np.multiply(dg, 1.0 - g * g, out=da[:, 2 * nh:3 * nh])
+        np.multiply(do * o, 1.0 - o, out=da[:, 3 * nh:])
         d_wx += da.T @ cache.x[:, t]
         d_wh += da.T @ h_prev
         d_b += da.sum(axis=0)
-        dx[:, t] = da @ p.w_input
+        if dx is not None:
+            dx[:, t] = da @ p.w_input
         dh_carry = da @ p.w_hidden
 
     return LstmGrads(d_wx, d_wh, d_b, dx, dh_carry, dc_carry)

@@ -181,6 +181,21 @@ def test_sequence_classifier_checkpoint_round_trip():
     assert np.array_equal(model.forward_probs(x), clone.forward_probs(x))
 
 
+def test_sequence_classifier_gradcheck():
+    # covers the layer-2 input gradient feeding layer 1, whose own input
+    # gradient is skipped
+    from faultlab.nncore import check_gradients
+
+    rng = np.random.default_rng(5)
+    model = SequenceClassifier.init(rng, 3, 4, 3)
+    x = rng.normal(size=(2, 5, 3))
+    labels = np.array([[1, 2, 0, 3, 1], [0, 3, 3, 2, 1]])  # 0 = ignored step
+    _, grads = model.loss_and_grads((x, labels))
+    report = check_gradients(lambda: model.loss((x, labels)), model.param_arrays(), grads)
+    assert report.n_checked == sum(a.size for a in model.param_arrays())
+    assert report.ok(1e-5), report
+
+
 def test_infer_series_handles_ragged_tail():
     model = SequenceClassifier.init(np.random.default_rng(2), 3, 4, 2)
     x = np.random.default_rng(3).normal(size=(10, 3))

@@ -17,7 +17,7 @@ from faultlab.changepoint import (
 )
 from faultlab.config import CpdConfig
 from faultlab.errors import InvariantViolation, ShapeMismatchError
-from faultlab.nncore import Standardizer, load_checkpoint, save_checkpoint
+from faultlab.nncore import Standardizer, check_gradients, load_checkpoint, save_checkpoint
 
 
 TINY_CPD = CpdConfig(
@@ -147,6 +147,20 @@ def test_autoencoder_ctor_shape_checks(rng):
     narrow = LstmCellParams.init(rng, 2 * cfg.enc_hidden, cfg.dec_hidden)
     with pytest.raises(ShapeMismatchError):
         LstmAutoencoder(model.encoders, narrow, model.head, cfg.window, model.std)
+
+
+def test_autoencoder_gradcheck(rng):
+    # covers the decoder's summed input gradient dz and the encoders'
+    # final-state-only backward pass
+    cfg = CpdConfig(window=4, enc_hidden=2, dec_hidden=3)
+    model = LstmAutoencoder.init(rng, cfg, Standardizer(np.zeros(3), np.ones(3)))
+    for cell in (*model.encoders, model.decoder):
+        cell.bias[:] = rng.normal(scale=0.5, size=cell.bias.shape)
+    batch = rng.normal(size=(2, cfg.window, 3))
+    _, grads = model.loss_and_grads(batch)
+    report = check_gradients(lambda: model.loss(batch), model.param_arrays(), grads)
+    assert report.n_checked == sum(a.size for a in model.param_arrays())
+    assert report.ok(1e-5), report
 
 
 def test_train_rejects_non_normal_regime(mixed_small):

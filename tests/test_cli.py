@@ -105,6 +105,34 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    (None, None, None),
+    ("task2", "rebalance_frac", 1.0),   # would divide by zero in training
+    ("task3", "chunk_len", 0),
+    ("cpd", "window", 0),
+    ("cpd", "val_frac", 1.0),
+    ("task3", "val_frac", 1.5),
+    ("cpd", "k", -1.0),
+    ("plan", "min_valid_folds", 11),    # more than the 10 folds
+    ("cpd", "window", "16"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
+    path = tmp_path / "cfg.json"
+    save_run_config(RunConfig(), path)
+    if section is not None:
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+    code = run("gen", "--regime", "normal", "--len", "50", "--config", str(path),
+               "--out", str(tmp_path / "n.csv"))
+    err = capsys.readouterr().err
+    if section is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert "config error" in err and f"{section}: {key}" in err
+
+
 def test_missing_model_dir_exits_2(tmp_path, capsys):
     series = tmp_path / "s.csv"
     run("gen", "--regime", "normal", "--out", str(series), "--len", "100", "--seed", "0")
@@ -256,20 +284,39 @@ def test_infer_writes_parseable_csv(tmp_path, capsys):
         assert 0.0 <= float(p) <= 1.0  # plain floats, not numpy reprs
 
 
+def _train_smtcnn_args(tmp_path, cfg_path) -> list[str]:
+    """Generate the three regime CSVs; returns train-smtcnn's input flags."""
+    args = ["--config", str(cfg_path)]
+    for regime in ("normal", "anomaly", "mixed"):
+        csv = tmp_path / f"{regime}.csv"
+        assert run("gen", "--regime", regime, "--out", str(csv),
+                   "--config", str(cfg_path)) == 0
+        args += [f"--{regime}", str(csv)]
+    return args
+
+
 def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
     """train-smtcnn and pipeline train a variant through the same code path."""
     cfg_path = _tiny_run_config(tmp_path)
     assert run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 0
-    csvs = {}
-    for regime in ("normal", "anomaly", "mixed"):
-        csvs[regime] = tmp_path / f"{regime}.csv"
-        assert run("gen", "--regime", regime, "--out", str(csvs[regime]),
-                   "--config", str(cfg_path)) == 0
+    inputs = _train_smtcnn_args(tmp_path, cfg_path)
     for ablation, variant in ((None, "full"), ("b2", "b2_no_cpd"), ("b3", "b3_no_segclass")):
         out = tmp_path / "smtcnn" / variant
         extra = ("--ablation", ablation) if ablation else ()
-        assert run("train-smtcnn", "--mixed", str(csvs["mixed"]),
-                   "--normal", str(csvs["normal"]), "--anomaly", str(csvs["anomaly"]),
-                   "--out", str(out), "--config", str(cfg_path), *extra) == 0
+        assert run("train-smtcnn", *inputs, "--out", str(out), *extra) == 0
         assert _file_bytes(out) == _file_bytes(tmp_path / "run" / "models" / variant)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("ablation,unused", [("b2", "train_autoencoder"),
+                                             ("b3", "train_classifier")])
+def test_train_smtcnn_builds_only_used_stages(tmp_path, capsys, monkeypatch, ablation, unused):
+    import faultlab.experiment as experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{unused} ran for --ablation {ablation}")
+
+    inputs = _train_smtcnn_args(tmp_path, _tiny_run_config(tmp_path))
+    monkeypatch.setattr(experiment, unused, refuse)
+    assert run("train-smtcnn", *inputs, "--out", str(tmp_path / "m"), "--ablation", ablation) == 0
     capsys.readouterr()

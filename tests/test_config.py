@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,14 @@ def test_load_rejects_unknown_keys(tmp_path):
     text = path.read_text().replace('"seed"', '"sneed"', 1)
     path.write_text(text)
     with pytest.raises(ConfigError):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("section", ["cpd", "sim", "plan"])
+def test_load_rejects_non_object_section(tmp_path, section):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: 5}))
+    with pytest.raises(ConfigError, match=section):
         load_run_config(path)
 
 

@@ -47,6 +47,36 @@ def test_confusion_errors():
         ConfusionMatrix(np.array([[1, -1], [0, 2]]), [1, 2])
 
 
+def _confusion_loop(preds, truth, classes):
+    """Per-label reference count, first out-of-set label in input order."""
+    index = {c: i for i, c in enumerate(classes)}
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(truth, preds):
+        for label in (t, p):
+            if label not in index:
+                return label
+        counts[index[t], index[p]] += 1
+    return counts
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-3, 40), min_size=1, max_size=8, unique=True),
+       st.integers(0, 2**32 - 1), st.integers(0, 300), st.booleans())
+def test_confusion_matches_loop(classes, seed, n, stray):
+    # class lists with gaps, in any order; optionally some labels outside them
+    rng = np.random.default_rng(seed)
+    pool = classes + ([41, -4] if stray else [])
+    preds, truth = rng.choice(pool, size=n), rng.choice(pool, size=n)
+    want = _confusion_loop(preds.tolist(), truth.tolist(), classes)
+    if isinstance(want, np.ndarray):
+        cm = confusion(preds, truth, classes=classes)
+        assert cm.classes == classes
+        assert np.array_equal(cm.counts, want)
+    else:
+        with pytest.raises(InvariantViolation, match=rf"^label {want} outside"):
+            confusion(preds, truth, classes=classes)
+
+
 # --- metrics ----------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from faultlab.errors import (
@@ -55,6 +55,32 @@ def test_sigmoid_symmetry(x):
     a = sigmoid(np.array(x))
     b = sigmoid(np.array(-x))
     assert_allclose(a + b, 1.0, atol=1e-12)
+
+
+def _sign_split_sigmoid(x):
+    """The masked formula sigmoid replaced: the bit-level oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e3, -1e3,
+                  5e-324, -5e-324, 709.0, -745.0]
+
+
+@given(st.lists(st.floats(width=64), max_size=40))
+@example(SPECIAL_FLOATS)
+def test_sigmoid_matches_sign_split_bit_for_bit(values):
+    x = np.array(values + SPECIAL_FLOATS)
+    with np.errstate(all="ignore"):
+        got, want = sigmoid(x), _sign_split_sigmoid(x)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # strided gate slices, as the LSTM passes them
+    a = x[:len(x) // 2 * 2].reshape(2, -1)
+    assert sigmoid(a[:, ::2]).tobytes() == _sign_split_sigmoid(a[:, ::2].copy()).tobytes()
 
 
 def test_softmax_oracle():
@@ -150,6 +176,50 @@ def test_lstm_gradcheck_small():
     grads = lstm_backward_batch(cache, dh)
     report = check_gradients(loss_fn, params, [grads.w_input, grads.w_hidden, grads.bias])
     assert report.ok(1e-5), report
+
+
+@pytest.mark.parametrize("nb", [1, 5])
+def test_lstm_forward_without_cache_and_with_constant_input(nb):
+    rng = np.random.default_rng(21)
+    p = LstmCellParams.init(rng, 3, 4)
+    p.bias[:] = rng.normal(size=16)
+    x = rng.normal(size=(nb, 6, 3))
+    hs_cached, cache = lstm_forward_batch(x, p, want_cache=True)
+    hs_plain, none = lstm_forward_batch(x, p)
+    assert none is None
+    assert np.array_equal(hs_cached, hs_plain)
+    assert np.array_equal(cache.h, hs_plain)
+
+    z = rng.normal(size=(nb, 3))
+    view = np.broadcast_to(z[:, None, :], (nb, 6, 3))
+    assert view.strides[1] == 0
+    copy = np.repeat(z[:, None, :], 6, axis=1)
+    for want_cache in (False, True):
+        hs_view, _ = lstm_forward_batch(view, p, want_cache=want_cache)
+        hs_copy, _ = lstm_forward_batch(copy, p, want_cache=want_cache)
+        assert np.array_equal(hs_view, hs_copy)
+
+
+def test_lstm_backward_skipped_inputs_keep_weight_grads():
+    rng = np.random.default_rng(22)
+    p = LstmCellParams.init(rng, 2, 3)
+    x = rng.normal(size=(4, 5, 2))
+    _, cache = lstm_forward_batch(x, p, want_cache=True)
+    dh_seq = rng.normal(size=(4, 5, 3))
+    dh_last, dc_last = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+    def kept(g):
+        return [g.w_input, g.w_hidden, g.bias, g.h0, g.c0]
+
+    full = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
+    no_dx = lstm_backward_batch(cache, dh_seq, dh_last, dc_last, want_dx=False)
+    assert no_dx.x is None and full.x.shape == x.shape
+    assert [a.tobytes() for a in kept(no_dx)] == [a.tobytes() for a in kept(full)]
+
+    # only the final state feeds downstream: no dh_seq is the all-zero one
+    last_only = lstm_backward_batch(cache, dh_last=dh_last, want_dx=False)
+    zeros = lstm_backward_batch(cache, np.zeros_like(dh_seq), dh_last=dh_last)
+    assert all(np.array_equal(a, b) for a, b in zip(kept(last_only), kept(zeros)))
 
 
 def test_dense_gradcheck_ce_head():
