@@ -258,13 +258,14 @@ def segclass_step_classes(seg_model: ClassifierModel, x: np.ndarray,
     """
     votes = np.zeros(len(x), dtype=np.int64)
     w, s = seg_cfg.window, seg_cfg.stride
-    for seg in segments:
-        if seg.end - seg.start < w:
-            continue
-        feats = windowize_features(x[seg.start:seg.end], w, s)
-        preds, _ = predict_batch(seg_model, feats)
-        for j, start in enumerate(range(seg.start, seg.end - w + 1, s)):
-            votes[start:start + w] = preds[j]
+    spans = [(seg.start, seg.end) for seg in segments if seg.end - seg.start >= w]
+    if not spans:
+        return votes
+    preds, _ = predict_batch(seg_model, np.concatenate(
+        [windowize_features(x[a:b], w, s) for a, b in spans]))
+    starts = np.concatenate([np.arange(a, b - w + 1, s) for a, b in spans])
+    for start, pred in zip(starts, preds):
+        votes[start:start + w] = pred
     return votes
 
 
@@ -276,10 +277,8 @@ def warm_start_bias(seg_model: ClassifierModel, x: np.ndarray,
     count toward class 12. Laplace smoothing keeps every bias finite.
     """
     votes = segclass_step_classes(seg_model, x, segments, seg_cfg)
-    counts = np.zeros(N_CLASSES)
-    for c in range(1, N_CLASSES):
-        counts[c - 1] = np.sum(votes == c)
-    counts[N_CLASSES - 1] = np.sum(votes == 0)
+    per_vote = np.bincount(votes, minlength=N_CLASSES)  # index 0 = unassigned
+    counts = np.append(per_vote[1:N_CLASSES], per_vote[0]).astype(float)
     smooth = seg_cfg.prior_smoothing_frac * len(x)
     priors = (counts + smooth) / (counts.sum() + N_CLASSES * smooth)
     return np.log(priors)

@@ -38,11 +38,29 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_ints(obj: Any, minimum: int, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
-        _check(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        _check(_is_int(value) and value >= minimum,
                f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_numbers(obj: Any, minimum: float, *names: str, strict: bool = False) -> None:
+    """Numbers >= minimum, or > minimum when strict."""
+    for name in names:
+        value = getattr(obj, name)
+        _check(_is_number(value) and (value > minimum if strict else value >= minimum),
+               f"{name} must be a number {'>' if strict else '>='} {minimum}, got {value!r}")
+
+
+def _check_tuple(name: str, value: Any, length: int, of=_is_number) -> None:
+    _check(isinstance(value, tuple) and len(value) == length and all(map(of, value)),
+           f"{name} must hold {length} {'integers' if of is _is_int else 'numbers'}, "
+           f"got {value!r}")
 
 
 def _check_fraction(name: str, value: Any) -> None:
@@ -125,12 +143,39 @@ class SimConfig:
         return table[regime]
 
     def validate(self) -> None:
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ConfigError(f"fault_rate {self.fault_rate} outside [0,1]")
-        if self.n_points is not None and self.n_points < 1:
-            raise ConfigError("n_points must be >= 1")
-        if len(self.energy_base) != self.n_devices:
-            raise ConfigError("device baseline tuples must match n_devices")
+        if self.n_points is not None:
+            _check_ints(self, 1, "n_points")
+        _check_ints(self, 1, "n_devices", "period_s", "diurnal_period_steps", "benign_ramp")
+        _check_ints(self, 0, "start_timestamp")
+        _check(isinstance(self.paper_scale, bool),
+               f"paper_scale must be true or false, got {self.paper_scale!r}")
+        for name in ("energy_base", "cpu_base", "duration_base"):
+            _check_tuple(name, getattr(self, name), self.n_devices)
+        _check_numbers(self, 0.0, "energy_noise", "cpu_noise", "duration_noise",
+                       "cpu_diurnal_amp")
+        for name in ("benign_rate", "fault_rate"):
+            value = getattr(self, name)
+            _check(_is_number(value) and 0.0 <= value <= 1.0,
+                   f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("benign_len", "fault_len", "anomaly_window_len"):
+            lo_hi = getattr(self, name)
+            _check_tuple(name, lo_hi, 2, of=_is_int)
+            _check(1 <= lo_hi[0] <= lo_hi[1], f"{name} must be (lo, hi) with 1 <= lo <= hi")
+        _check_tuple("benign_mag_sigma", self.benign_mag_sigma, 2)
+        if self.mixed_classes is not None:
+            classes = self.mixed_classes
+            _check(isinstance(classes, tuple) and all(_is_int(c) and 1 <= c <= 11 for c in classes),
+                   f"mixed_classes must list fault classes 1..11, got {classes!r}")
+        defaults = FaultSignatures()
+        for f in fields(FaultSignatures):
+            value, like = getattr(self.signatures, f.name), getattr(defaults, f.name)
+            if isinstance(like, tuple):
+                _check_tuple(f"signatures.{f.name}", value, len(like))
+            else:
+                _check(_is_number(value), f"signatures.{f.name} must be a number, got {value!r}")
+        sig = self.signatures
+        _check(sig.uv_noise_gain >= 0 and max(sig.uv_floors_v) <= sig.uv_nominal_v,
+               "signatures: undervoltage needs uv_noise_gain >= 0 and floors <= uv_nominal_v")
 
 
 @dataclass
@@ -181,6 +226,19 @@ class SegclassConfig:
     # length. Calibrated: more smoothing washes the vote structure out of the
     # prior, less sharpens it to the point of dominating early training.
     prior_smoothing_frac: float = 0.0407
+
+    def validate(self) -> None:
+        _check_ints(self, 1, "window", "stride", "rf_trees")
+        _check_ints(self, 0, "dt_max_depth", "dt_min_leaf", "linear_epochs", "logreg_epochs",
+                    "svm_epochs")
+        frac = self.rf_feature_frac
+        _check(frac is None or (_is_number(frac) and 0.0 < frac <= 1.0),
+               f"rf_feature_frac must be null or a number in (0, 1], got {frac!r}")
+        _check(isinstance(self.rf_bootstrap, bool),
+               f"rf_bootstrap must be true or false, got {self.rf_bootstrap!r}")
+        _check_numbers(self, 0.0, "nb_var_floor", "linear_lr", "logreg_lr", "svm_lambda",
+                       "prior_smoothing_frac", strict=True)
+        _check_numbers(self, 0.0, "linear_l2")
 
 
 @dataclass
@@ -283,9 +341,13 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _from_dict(RunConfig, data)
-    for section in ("cpd", "task2", "task3", "plan"):
+    for section in ("sim", "cpd", "seg", "task2", "task3", "plan"):
         try:
             getattr(cfg, section).validate()
         except ConfigError as exc:
             raise ConfigError(f"{section}: {exc}") from None
+    # the manifest keeps one chunk length, and inference runs both tasks at it
+    _check(cfg.task2.chunk_len == cfg.task3.chunk_len,
+           f"task2: chunk_len {cfg.task2.chunk_len} differs from task3's "
+           f"{cfg.task3.chunk_len}; inference runs both tasks at one chunk length")
     return cfg

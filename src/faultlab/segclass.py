@@ -11,7 +11,7 @@ the lowest class id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,16 +90,38 @@ def windowize(dataset: TimeSeriesDataset, window: int, stride: int) -> WindowFea
 # --- decision tree ----------------------------------------------------------
 
 @dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    dist: np.ndarray | None = None  # leaf class distribution
+class _Tree:
+    """A tree as pre-order node arrays: a node, its left subtree, its right.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.dist is not None
+    Inner node i sends a row to left[i] if x[feat[i]] <= thr[i], else to
+    right[i], and has an all-zero dist row. A leaf has feat = -1, thr = 0.0,
+    left = right = -1 and its class distribution in dist. The checkpoint
+    stores these arrays under the same names.
+    """
+
+    feat: np.ndarray   # (n,) int64
+    thr: np.ndarray    # (n,) float
+    left: np.ndarray   # (n,) int64
+    right: np.ndarray  # (n,) int64
+    dist: np.ndarray   # (n, C) float
+
+    def validate(self, n_classes: int) -> None:
+        """Checks a loaded tree; child ids above the parent's make routing end."""
+        n = len(self.feat)
+        if (n == 0 or self.dist.shape != (n, n_classes)
+                or any(a.shape != (n,) for a in (self.feat, self.thr, self.left, self.right))):
+            raise ShapeMismatchError(
+                f"tree arrays must hold {n} nodes and dist {n_classes} classes")
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (self.feat, self.left, self.right)):
+            raise InvariantViolation("tree feat, left and right must be integers")
+        ids = np.arange(n)
+        inner = self.left != -1
+        leaf_ok = (self.right == -1) & (self.feat == -1) & (self.thr == 0.0)
+        inner_ok = ((self.left > ids) & (self.left < n) & (self.right > ids) & (self.right < n)
+                    & (self.feat >= 0) & (self.feat < len(FEATURE_NAMES)))
+        bad = np.nonzero(np.where(inner, ~inner_ok, ~leaf_ok))[0]
+        if len(bad):
+            raise InvariantViolation(f"tree node {bad[0]} has bad feat/thr/left/right")
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -145,56 +167,54 @@ def _best_split(x: np.ndarray, y_idx: np.ndarray, n_classes: int,
     return best
 
 
-def _grow_tree(x: np.ndarray, y_idx: np.ndarray, n_classes: int, depth: int,
-               cfg: SegclassConfig, rng: np.random.Generator | None,
-               n_feats: int | None) -> _Node:
-    counts = np.bincount(y_idx, minlength=n_classes).astype(float)
-    if (depth >= cfg.dt_max_depth or len(y_idx) <= cfg.dt_min_leaf
-            or np.count_nonzero(counts) <= 1):
-        return _Node(dist=counts / counts.sum())
-    d = x.shape[1]
-    if n_feats is not None and n_feats < d:
-        feature_ids = np.sort(rng.choice(d, size=n_feats, replace=False))
-    else:
-        feature_ids = np.arange(d)
-    split = _best_split(x, y_idx, n_classes, feature_ids)
-    if split is None or split[0] <= 1e-12:
-        return _Node(dist=counts / counts.sum())
-    _, f, thr = split
-    mask = x[:, f] <= thr
-    node = _Node(feature=f, threshold=thr)
-    node.left = _grow_tree(x[mask], y_idx[mask], n_classes, depth + 1, cfg, rng, n_feats)
-    node.right = _grow_tree(x[~mask], y_idx[~mask], n_classes, depth + 1, cfg, rng, n_feats)
-    return node
+def _grow_tree(x: np.ndarray, y_idx: np.ndarray, n_classes: int, cfg: SegclassConfig,
+               rng: np.random.Generator | None, n_feats: int | None) -> _Tree:
+    nodes: list[list] = []  # [feat, thr, left, right, dist] per node, in pre-order
+
+    def grow(x: np.ndarray, y_idx: np.ndarray, depth: int) -> int:
+        counts = np.bincount(y_idx, minlength=n_classes).astype(float)
+        split = None
+        if (depth < cfg.dt_max_depth and len(y_idx) > cfg.dt_min_leaf
+                and np.count_nonzero(counts) > 1):
+            d = x.shape[1]
+            if n_feats is not None and n_feats < d:
+                feature_ids = np.sort(rng.choice(d, size=n_feats, replace=False))
+            else:
+                feature_ids = np.arange(d)
+            split = _best_split(x, y_idx, n_classes, feature_ids)
+        node = len(nodes)
+        if split is None or split[0] <= 1e-12:
+            nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
+            return node
+        _, f, thr = split
+        nodes.append([f, thr, -1, -1, np.zeros(n_classes)])
+        mask = x[:, f] <= thr
+        nodes[node][2] = grow(x[mask], y_idx[mask], depth + 1)
+        nodes[node][3] = grow(x[~mask], y_idx[~mask], depth + 1)
+        return node
+
+    grow(x, y_idx, 0)
+    feat, thr, left, right, dist = zip(*nodes)
+    return _Tree(np.array(feat, dtype=np.int64), np.array(thr, dtype=float),
+                 np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                 np.array(dist, dtype=float))
 
 
-def _tree_scores(node: _Node, x: np.ndarray) -> np.ndarray:
-    out = np.empty((len(x), len(_first_leaf(node).dist)))
-    # iterative routing keeps recursion depth independent of batch size
-    idx = np.arange(len(x))
-    stack = [(node, idx)]
-    while stack:
-        nd, rows = stack.pop()
-        if len(rows) == 0:
-            continue
-        if nd.is_leaf:
-            out[rows] = nd.dist
-            continue
-        mask = x[rows, nd.feature] <= nd.threshold
-        stack.append((nd.left, rows[mask]))
-        stack.append((nd.right, rows[~mask]))
-    return out
-
-
-def _first_leaf(node: _Node) -> _Node:
-    while not node.is_leaf:
-        node = node.left
-    return node
+def _tree_scores(tree: _Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf distribution per row; every live row moves down one level per pass."""
+    node = np.zeros(len(x), dtype=np.int64)
+    live = np.nonzero(tree.left[node] >= 0)[0]
+    while len(live):
+        at = node[live]
+        goes_left = x[live, tree.feat[at]] <= tree.thr[at]
+        node[live] = np.where(goes_left, tree.left[at], tree.right[at])
+        live = live[tree.left[node[live]] >= 0]
+    return tree.dist[node]
 
 
 @dataclass
 class _ForestImpl:
-    roots: list[_Node]  # a decision tree is a forest of one
+    trees: list[_Tree]  # a decision tree is a forest of one
 
 
 @dataclass
@@ -240,20 +260,20 @@ def train_classifier(kind: str, rows: WindowFeatures, cfg: SegclassConfig | None
     rng = np.random.default_rng(seed)
 
     if kind == "decision_tree":
-        impl: object = _ForestImpl([_grow_tree(x, y_idx, n_classes, 0, cfg, None, None)])
+        impl: object = _ForestImpl([_grow_tree(x, y_idx, n_classes, cfg, None, None)])
     elif kind == "random_forest":
         if cfg.rf_feature_frac is None:
             n_feats = max(1, int(round(np.sqrt(x.shape[1]))))
         else:
             n_feats = max(1, int(round(cfg.rf_feature_frac * x.shape[1])))
-        roots = []
+        trees = []
         for _ in range(cfg.rf_trees):
             if cfg.rf_bootstrap:
                 take = rng.integers(0, len(x), size=len(x))
             else:
                 take = np.arange(len(x))
-            roots.append(_grow_tree(x[take], y_idx[take], n_classes, 0, cfg, rng, n_feats))
-        impl = _ForestImpl(roots)
+            trees.append(_grow_tree(x[take], y_idx[take], n_classes, cfg, rng, n_feats))
+        impl = _ForestImpl(trees)
     elif kind == "naive_bayes":
         mu = np.empty((n_classes, x.shape[1]))
         var = np.empty_like(mu)
@@ -324,9 +344,9 @@ def scores_batch(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
     impl = model.impl
     if isinstance(impl, _ForestImpl):
         acc = np.zeros((len(x), len(model.classes)))
-        for root in impl.roots:
-            acc += _tree_scores(root, x)
-        return acc / len(impl.roots)
+        for tree in impl.trees:
+            acc += _tree_scores(tree, x)
+        return acc / len(impl.trees)
     if isinstance(impl, _NbImpl):
         out = np.empty((len(x), len(model.classes)))
         for c in range(len(model.classes)):
@@ -385,52 +405,14 @@ def crossval_10fold(rows: WindowFeatures, kind: str, seed: int = 0,
 
 # --- persistence -------------------------------------------------------------
 
-def _flatten_tree(root: _Node, n_classes: int):
-    feats, thrs, lefts, rights, dists = [], [], [], [], []
-
-    def visit(node: _Node) -> int:
-        my_id = len(feats)
-        feats.append(node.feature)
-        thrs.append(node.threshold)
-        lefts.append(-1)
-        rights.append(-1)
-        dists.append(node.dist if node.is_leaf else np.zeros(n_classes))
-        if not node.is_leaf:
-            lefts[my_id] = visit(node.left)
-            rights[my_id] = visit(node.right)
-        return my_id
-
-    visit(root)
-    return (np.array(feats, dtype=np.int64), np.array(thrs, dtype=float),
-            np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64),
-            np.array(dists, dtype=float))
-
-
-def _rebuild_tree(feats, thrs, lefts, rights, dists) -> _Node:
-    def build(i: int) -> _Node:
-        if lefts[i] < 0:
-            return _Node(dist=dists[i])
-        node = _Node(feature=int(feats[i]), threshold=float(thrs[i]))
-        node.left = build(int(lefts[i]))
-        node.right = build(int(rights[i]))
-        return node
-
-    return build(0)
-
-
 def to_checkpoint(model: ClassifierModel) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {"classes": model.classes.astype(np.int64)}
     impl = model.impl
     meta = {"kind": model.kind}
     if isinstance(impl, _ForestImpl):
-        meta["n_trees"] = len(impl.roots)
-        for i, root in enumerate(impl.roots):
-            f, t, l, r, d = _flatten_tree(root, len(model.classes))
-            arrays[f"t{i}_feat"] = f
-            arrays[f"t{i}_thr"] = t
-            arrays[f"t{i}_left"] = l
-            arrays[f"t{i}_right"] = r
-            arrays[f"t{i}_dist"] = d
+        meta["n_trees"] = len(impl.trees)
+        for i, tree in enumerate(impl.trees):
+            arrays.update({f"t{i}_{f.name}": getattr(tree, f.name) for f in fields(tree)})
     elif isinstance(impl, _NbImpl):
         arrays.update(mu=impl.mu, var=impl.var, log_prior=impl.log_prior)
     else:
@@ -438,19 +420,35 @@ def to_checkpoint(model: ClassifierModel) -> Checkpoint:
     return Checkpoint(kind="segclass", meta=meta, arrays=arrays)
 
 
+def _expect_shapes(**named: tuple[np.ndarray, tuple[int, ...]]) -> None:
+    for name, (arr, shape) in named.items():
+        if arr.shape != shape:
+            raise ShapeMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
+
+
 def from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
+    """Rebuild a model; malformed arrays raise a ValueError subclass."""
     kind = ckpt.meta["kind"]
-    classes = ckpt.arrays["classes"]
+    if kind not in KINDS:
+        raise InvariantViolation(f"unknown classifier kind {kind!r}")
+    arrays = ckpt.arrays
+    classes = arrays["classes"]
+    c, d = len(classes), len(FEATURE_NAMES)
+    _expect_shapes(classes=(classes, (c,)))
     if kind in ("decision_tree", "random_forest"):
-        impl: object = _ForestImpl([
-            _rebuild_tree(ckpt.arrays[f"t{i}_feat"], ckpt.arrays[f"t{i}_thr"],
-                          ckpt.arrays[f"t{i}_left"], ckpt.arrays[f"t{i}_right"],
-                          ckpt.arrays[f"t{i}_dist"])
-            for i in range(int(ckpt.meta["n_trees"]))
-        ])
+        trees = [_Tree(**{f.name: arrays[f"t{i}_{f.name}"] for f in fields(_Tree)})
+                 for i in range(int(ckpt.meta["n_trees"]))]
+        if not trees:
+            raise InvariantViolation("a forest needs at least one tree")
+        for tree in trees:
+            tree.validate(c)
+        impl: object = _ForestImpl(trees)
     elif kind == "naive_bayes":
-        impl = _NbImpl(ckpt.arrays["mu"], ckpt.arrays["var"], ckpt.arrays["log_prior"])
+        impl = _NbImpl(arrays["mu"], arrays["var"], arrays["log_prior"])
+        _expect_shapes(mu=(impl.mu, (c, d)), var=(impl.var, (c, d)),
+                       log_prior=(impl.log_prior, (c,)))
     else:
-        impl = _LinearImpl(ckpt.arrays["w"], ckpt.arrays["b"],
-                           Standardizer(ckpt.arrays["mu"], ckpt.arrays["sd"]))
+        impl = _LinearImpl(arrays["w"], arrays["b"], Standardizer(arrays["mu"], arrays["sd"]))
+        _expect_shapes(w=(impl.w, (c, d)), b=(impl.b, (c,)))
+        impl.std.validate(d)
     return ClassifierModel(kind=kind, classes=classes, impl=impl)

@@ -6,10 +6,12 @@ import json
 import pytest
 from test_acceptance import _file_bytes, _tiny_run_config
 from test_cascade import tiny_models
+from test_segclass import make_blobs
 
 from faultlab.cascade import save_models
 from faultlab.cli import main
-from faultlab.config import RunConfig, save_run_config
+from faultlab.config import RunConfig, SegclassConfig, save_run_config
+from faultlab.segclass import train_classifier
 from faultlab.simgen import read_csv
 
 
@@ -115,6 +117,14 @@ def test_usage_errors_exit_2(capsys):
     ("cpd", "k", -1.0),
     ("plan", "min_valid_folds", 11),    # more than the 10 folds
     ("cpd", "window", "16"),
+    ("sim", "fault_rate", "x"),
+    ("sim", "energy_base", [10.0, 12.0]),   # four devices
+    ("sim", "fault_len", [0, 60]),
+    ("seg", "window", 0),
+    ("seg", "rf_trees", 2.5),
+    ("seg", "rf_feature_frac", 0.0),
+    ("seg", "svm_lambda", 0.0),
+    ("task2", "chunk_len", 32),             # task 3 and the manifest keep 64
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     path = tmp_path / "cfg.json"
@@ -183,13 +193,26 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
     ("cpd", ("arrays", "dec_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
     ("manifest", ("arrays", "std_mu"), {"dtype": "f8", "shape": [2], "data": [0.0] * 2}),
     ("cpd", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}),
+    ("segclass", ("arrays", "t0_left", "data", 0), 1000000),
+    ("segclass", ("arrays", "t0_left", "data", 0), 0),
+    ("segclass", ("arrays", "t1_right", "data", 0), -1),
+    ("segclass", ("arrays", "t0_feat", "data", 0), 15),
+    ("segclass", ("arrays", "t0_thr", "data", -1), 0.5),   # the last node is a leaf
+    ("segclass", ("arrays", "t0_left"), {"dtype": "f8", "shape": [1], "data": [1.0]}),
+    ("segclass", ("arrays", "classes"), {"dtype": "i8", "shape": [4], "data": [2, 5, 9, 11]}),
+    ("segclass", ("meta", "n_trees"), 0),
+    ("segclass", ("meta", "kind"), "xgboost"),
 ], ids=["chunk_len-str", "threshold_mu-str", "l1_wh-2x2", "l1_wh-1d", "head_w-2x2",
-        "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero"])
+        "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero", "tree_left-outside", "tree_left-loop",
+        "tree_right-missing", "tree_feat-16th", "tree_thr-on-leaf", "tree_left-float",
+        "tree_dist-width", "n_trees-zero", "seg_kind-unknown"])
 def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
     series = tmp_path / "s.csv"
     run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
     models = tmp_path / "models"
-    save_models(tiny_models("full"), models)
+    forest = train_classifier("random_forest", make_blobs(n_per=10),
+                              SegclassConfig(rf_trees=2), seed=0)
+    save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), models)
     path = models / f"{file}.json"
     doc = json.loads(path.read_text())
     node = doc

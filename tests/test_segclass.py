@@ -204,6 +204,72 @@ def test_checkpoint_round_trip(kind, blobs, tmp_path):
     assert np.array_equal(scores_batch(clone, probe), scores_batch(model, probe))
 
 
+def _column_rows(col, values, labels):
+    """15-feature rows that are zero except in column `col`."""
+    x = np.zeros((len(values), len(FEATURE_NAMES)))
+    x[:, col] = values
+    return WindowFeatures(x, np.array(labels))
+
+
+# Pre-order node arrays, checked by hand. Depth 2: the root cuts x0 at 3.5
+# (Gini gain 0.375 against 0.292 at 1.5); its left subtree {1, 1, 2, 2} is
+# cut again at 1.5 and comes before the pure right leaf.
+@pytest.mark.parametrize("col,values,labels,want", [
+    (5, [0, 1, 2, 3], [4, 4, 7, 7],
+     {"feat": [5, -1, -1], "thr": [1.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+      "dist": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+    (0, range(8), [1, 1, 2, 2, 3, 3, 3, 3],
+     {"feat": [0, 0, -1, -1, -1], "thr": [3.5, 1.5, 0.0, 0.0, 0.0],
+      "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+      "dist": [[0.0] * 3, [0.0] * 3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+], ids=["stump", "depth2"])
+def test_tree_checkpoint_arrays_exact(col, values, labels, want):
+    ckpt = to_checkpoint(train_classifier("decision_tree", _column_rows(col, values, labels)))
+    assert ckpt.meta["n_trees"] == 1
+    assert sorted(ckpt.arrays) == ["classes", *(f"t0_{name}" for name in sorted(want))]
+    for name, values in want.items():
+        assert ckpt.arrays[f"t0_{name}"].tolist() == values
+    for name in ("feat", "left", "right"):
+        assert ckpt.arrays[f"t0_{name}"].dtype == np.int64
+
+
+def test_forest_trees_are_preorder_arrays(blobs):
+    model = train_classifier("random_forest", blobs, seed=3)
+    for tree in model.impl.trees:
+        leaf = tree.left == -1
+        order = []
+
+        def visit(i):
+            order.append(i)
+            if not leaf[i]:
+                visit(tree.left[i])
+                visit(tree.right[i])
+
+        visit(0)
+        assert order == list(range(len(tree.feat)))
+        assert np.all(tree.right[leaf] == -1) and np.all(tree.feat[leaf] == -1)
+        assert np.all(tree.thr[leaf] == 0.0)
+        assert np.all(tree.dist[~leaf] == 0.0)
+        assert np.allclose(tree.dist[leaf].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,name,value", [
+    ("naive_bayes", "mu", np.zeros((3, 14))),
+    ("naive_bayes", "var", np.ones((2, 15))),
+    ("naive_bayes", "log_prior", np.zeros((3, 1))),
+    ("logistic_regression", "w", np.zeros((3, 14))),
+    ("sgd_linear", "b", np.zeros(2)),
+    ("linear_svm", "mu", np.zeros(14)),
+    ("linear_svm", "sd", np.zeros(15)),
+    ("decision_tree", "t0_dist", np.zeros((1, 3))),
+])
+def test_from_checkpoint_rejects_malformed_arrays(kind, name, value, blobs):
+    ckpt = to_checkpoint(train_classifier(kind, blobs, seed=0))
+    ckpt.arrays[name] = value
+    with pytest.raises(ValueError):
+        from_checkpoint(ckpt)
+
+
 # --- cross-validation -------------------------------------------------------
 
 
