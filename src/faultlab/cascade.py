@@ -39,10 +39,11 @@ from .nncore import (
     EarlyStopConfig,
     LstmCellParams,
     Standardizer,
+    dense_forward_batch,
     sequence_cross_entropy,
     train,
 )
-from .nncore.layers import lstm_backward_batch, lstm_forward_batch, softmax
+from .nncore.layers import dense_backward_batch, lstm_backward_batch, lstm_forward_batch, softmax
 from .segclass import ClassifierModel, predict_batch, windowize_features
 from .simgen import NO_FAULT, TimeSeriesDataset
 
@@ -72,7 +73,7 @@ class SequenceClassifier:
         return cls(
             LstmCellParams.init(rng, input_dim, hidden),
             LstmCellParams.init(rng, hidden, hidden),
-            DenseParams.init(rng, hidden, n_out, activation="softmax"),
+            DenseParams.init(rng, hidden, n_out),
         )
 
     @property
@@ -89,8 +90,7 @@ class SequenceClassifier:
     def _forward(self, x: np.ndarray, want_cache: bool):
         h1, c1 = lstm_forward_batch(x, self.lstm1, want_cache=want_cache)
         h2, c2 = lstm_forward_batch(h1, self.lstm2, want_cache=want_cache)
-        logits = h2 @ self.head.w.T + self.head.b
-        probs = softmax(logits, axis=-1)
+        probs = softmax(dense_forward_batch(h2, self.head), axis=-1)
         return probs, (c1, c2, h2)
 
     def forward_probs(self, x: np.ndarray) -> np.ndarray:
@@ -108,13 +108,8 @@ class SequenceClassifier:
         x, labels = batch
         probs, (c1, c2, h2) = self._forward(x, want_cache=True)
         value, dlogits = sequence_cross_entropy(probs, labels)
-        # head is identity-then-softmax internally; dlogits already folds the
-        # softmax jacobian, so only the linear part remains
-        flat_h = h2.reshape(-1, self.head.in_size)
-        flat_dl = dlogits.reshape(-1, self.head.out_size)
-        dw_head = flat_dl.T @ flat_h
-        db_head = flat_dl.sum(axis=0)
-        dh2 = dlogits @ self.head.w
+        # the head is identity; dlogits already folds the softmax jacobian in
+        dw_head, db_head, dh2 = dense_backward_batch(h2, None, dlogits, self.head)
         g2 = lstm_backward_batch(c2, dh2)
         g1 = lstm_backward_batch(c1, g2.x, want_dx=False)
         grads = [g1.w_input, g1.w_hidden, g1.bias,
@@ -139,7 +134,7 @@ class SequenceClassifier:
     def from_checkpoint(cls, ckpt: Checkpoint) -> "SequenceClassifier":
         lstm1 = LstmCellParams(ckpt.arrays["l1_wx"], ckpt.arrays["l1_wh"], ckpt.arrays["l1_b"])
         lstm2 = LstmCellParams(ckpt.arrays["l2_wx"], ckpt.arrays["l2_wh"], ckpt.arrays["l2_b"])
-        head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"], "softmax")
+        head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"])
         lstm1.validate()
         lstm2.validate()
         if (lstm2.input_size != lstm1.hidden_size

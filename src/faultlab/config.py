@@ -335,12 +335,14 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 
 def load_run_config(path: str | Path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _from_dict(RunConfig, data)
+    _check(_is_int(cfg.seed), f"seed must be an integer, got {cfg.seed!r}")
+    _check(isinstance(cfg.out_dir, str), f"out_dir must be a string, got {cfg.out_dir!r}")
     for section in ("sim", "cpd", "seg", "task2", "task3", "plan"):
         try:
             getattr(cfg, section).validate()

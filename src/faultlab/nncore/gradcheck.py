@@ -27,8 +27,6 @@ def check_gradients(
     param_arrays: list[np.ndarray],
     analytic_grads: list[np.ndarray],
     h: float = 1e-5,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
     floor: float = 1e-5,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences.
@@ -39,10 +37,7 @@ def check_gradients(
     coordinates whose true gradient is below finite-difference noise (~1e-10
     absolute for central differences at h=1e-5) from reporting spurious
     relative errors. At the floor, the check still bounds the absolute
-    disagreement by floor * tol.
-
-    With `sample`, only that many randomly chosen coordinates are probed per
-    array; otherwise every coordinate is.
+    disagreement by floor * tol. Every coordinate of every array is probed.
     """
     if len(param_arrays) != len(analytic_grads):
         raise ValueError("param/grad list length mismatch")
@@ -54,13 +49,7 @@ def check_gradients(
             raise ValueError(f"array {ai}: shape {arr.shape} vs grad {grad.shape}")
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
-        if sample is not None and sample < flat.size:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idxs = rng.choice(flat.size, size=sample, replace=False)
-        else:
-            idxs = np.arange(flat.size)
-        for j in idxs:
+        for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
             up = loss_fn()
@@ -73,5 +62,5 @@ def check_gradients(
             checked += 1
             if rel > worst:
                 worst = rel
-                worst_idx = (ai, int(j))
+                worst_idx = (ai, j)
     return GradCheckReport(max_rel_error=float(worst), n_checked=checked, worst_index=worst_idx)

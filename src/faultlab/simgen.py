@@ -25,6 +25,8 @@ from .errors import CsvFormatError, InvariantViolation, ShapeMismatchError
 CSV_HEADER = ["timestamp", "energy", "cpu", "duration", "anomaly", "fault_class"]
 NO_FAULT = 12
 N_FAULT_CLASSES = 11
+# TimeSeriesDataset's arrays, in CSV column order
+_COLUMNS = ("timestamps", "energy", "cpu", "duration", "anomaly", "fault_class")
 
 FAMILIES = {
     **{c: "undervoltage" for c in range(1, 7)},
@@ -34,16 +36,6 @@ FAMILIES = {
     10: "mcu_high_temp",
     11: "buffer_overflow",
 }
-
-
-@dataclass
-class TelemetryRecord:
-    timestamp: int
-    energy: float
-    cpu: float
-    duration: float
-    anomaly: bool
-    fault_class: int
 
 
 @dataclass
@@ -62,7 +54,7 @@ class FaultSpec:
 
 
 class TimeSeriesDataset:
-    """Columnar store of TelemetryRecords plus the regime tag."""
+    """Columnar telemetry (one array per CSV column) plus the regime tag."""
 
     def __init__(self, timestamps, energy, cpu, duration, anomaly, fault_class, regime):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
@@ -75,53 +67,60 @@ class TimeSeriesDataset:
             raise InvariantViolation(f"unknown regime {regime!r}")
         self.regime = regime
         n = len(self.timestamps)
-        for name in ("energy", "cpu", "duration", "anomaly", "fault_class"):
+        for name in _COLUMNS[1:]:
             if len(getattr(self, name)) != n:
                 raise ShapeMismatchError(f"column {name} length != {n}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, i: int) -> TelemetryRecord:
-        return TelemetryRecord(
-            int(self.timestamps[i]), float(self.energy[i]), float(self.cpu[i]),
-            float(self.duration[i]), bool(self.anomaly[i]), int(self.fault_class[i]),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimeSeriesDataset):
             return NotImplemented
-        return (
-            self.regime == other.regime
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.energy, other.energy)
-            and np.array_equal(self.cpu, other.cpu)
-            and np.array_equal(self.duration, other.duration)
-            and np.array_equal(self.anomaly, other.anomaly)
-            and np.array_equal(self.fault_class, other.fault_class)
-        )
+        return self.regime == other.regime and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     def features(self) -> np.ndarray:
         """The (T, 3) feature matrix X: energy, cpu, duration."""
         return np.column_stack([self.energy, self.cpu, self.duration])
 
     def slice(self, start: int, end: int) -> "TimeSeriesDataset":
-        return TimeSeriesDataset(
-            self.timestamps[start:end], self.energy[start:end], self.cpu[start:end],
-            self.duration[start:end], self.anomaly[start:end],
-            self.fault_class[start:end], self.regime,
-        )
+        return TimeSeriesDataset(*(getattr(self, name)[start:end] for name in _COLUMNS),
+                                 self.regime)
+
+    def first_bad_row(self) -> tuple[int, str] | None:
+        """The earliest row that breaks a row invariant, and why; None if every row holds.
+
+        The invariants: energy finite, cpu in [0, 1], duration finite and
+        > 0, fault_class in 1..12, anomaly == (fault_class <= 11), and
+        timestamps strictly increasing. Within one row they are tested in
+        that order.
+        """
+        e, c, d, k, ts = self.energy, self.cpu, self.duration, self.fault_class, self.timestamps
+        bad = np.empty((6, len(self)), dtype=bool)
+        bad[0] = ~np.isfinite(e)
+        bad[1] = ~((c >= 0.0) & (c <= 1.0))
+        bad[2] = ~(np.isfinite(d) & (d > 0.0))
+        bad[3] = (k < 1) | (k > NO_FAULT)
+        bad[4] = self.anomaly != (k <= N_FAULT_CLASSES)
+        bad[5, :1] = False
+        bad[5, 1:] = ts[1:] <= ts[:-1]
+        rows = bad.any(axis=0)
+        if not rows.any():
+            return None
+        i = int(rows.argmax())
+        check = int(bad[:, i].argmax())
+        reason = (f"energy {e[i]} not finite", f"cpu {c[i]} outside [0,1]",
+                  f"duration {d[i]} not finite and positive",
+                  f"fault_class {k[i]} outside 1..12",
+                  "anomaly flag inconsistent with fault_class",
+                  "timestamps not strictly increasing")[check]
+        return i, reason
 
     def validate(self) -> None:
-        if np.any((self.cpu < 0.0) | (self.cpu > 1.0)):
-            raise InvariantViolation("cpu outside [0,1]")
-        if np.any(self.duration <= 0.0):
-            raise InvariantViolation("non-positive duration")
-        if len(self) > 1 and np.any(np.diff(self.timestamps) <= 0):
-            raise InvariantViolation("timestamps not strictly increasing")
-        mismatched = self.anomaly != (self.fault_class <= N_FAULT_CLASSES)
-        if np.any(mismatched):
-            raise InvariantViolation("anomaly flag inconsistent with fault_class")
+        bad = self.first_bad_row()
+        if bad is not None:
+            raise InvariantViolation(f"row {bad[0]}: {bad[1]}")
         if self.regime == "normal_only" and np.any(self.anomaly):
             raise InvariantViolation("normal_only dataset contains anomalies")
         if self.regime == "anomaly_only" and not np.all(self.anomaly):
@@ -188,22 +187,17 @@ def simulate_normal(cfg: SimConfig, n: int | None = None,
     cpu = np.clip(cpu, 0.0, 1.0)
     duration = np.maximum(duration, 1e-3)
     timestamps = cfg.start_timestamp + t * cfg.period_s
-    ds = TimeSeriesDataset(
-        timestamps, energy, cpu, duration,
-        np.zeros(n, dtype=bool), np.full(n, NO_FAULT), "normal_only",
-    )
-    return ds
+    return TimeSeriesDataset(timestamps, energy, cpu, duration,
+                             np.zeros(n, dtype=bool), np.full(n, NO_FAULT), "normal_only")
 
 
 def inject_fault(ds: TimeSeriesDataset, spec: FaultSpec, start: int, length: int,
-                 rng: np.random.Generator | int, sig: FaultSignatures) -> TimeSeriesDataset:
+                 rng: np.random.Generator, sig: FaultSignatures) -> TimeSeriesDataset:
     """Apply one fault window in place, shaped by `sig`; returns the same dataset.
 
     Rejects windows that fall outside the series or touch a previously
     injected fault.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if length == 0:
         return ds
     if length < 0 or start < 0 or start + length > len(ds):
@@ -332,72 +326,67 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
 
 
 def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
-    """Serialize with full float precision (repr round-trips float64)."""
+    """Serialize with full float precision: csv writes a float as its repr,
+    which round-trips float64."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i in range(len(ds)):
-            writer.writerow([
-                int(ds.timestamps[i]), repr(float(ds.energy[i])), repr(float(ds.cpu[i])),
-                repr(float(ds.duration[i])), int(ds.anomaly[i]), int(ds.fault_class[i]),
-            ])
+        writer.writerows(zip(
+            ds.timestamps.tolist(), ds.energy.tolist(), ds.cpu.tolist(), ds.duration.tolist(),
+            ds.anomaly.view(np.uint8).tolist(), ds.fault_class.tolist(),
+        ))
 
 
 def read_csv(path: str | Path) -> TimeSeriesDataset:
-    """Parse and validate; regime inferred from the label columns."""
-    rows: list[list[str]] = []
-    with open(path, newline="") as fh:
+    """Parse and validate; regime inferred from the label columns.
+
+    Line 1 must be the header. After it, the earliest row that does not
+    split into six parsable fields is reported; failing that, the earliest
+    row with an anomaly flag other than 0/1 or a broken row invariant (see
+    `TimeSeriesDataset.first_bad_row`). Bytes that are not UTF-8 decode to
+    lone surrogates, which no field parses, so they fail at their own line.
+    """
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(1, "empty file, expected header") from None
-        if header != CSV_HEADER:
-            raise CsvFormatError(1, f"bad header {header!r}")
-        rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(1, "empty file, expected header")
+            if header != CSV_HEADER:
+                raise CsvFormatError(1, f"bad header {header!r}")
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise CsvFormatError(reader.line_num, str(exc)) from None
 
     n = len(rows)
     timestamps = np.empty(n, dtype=np.int64)
     energy = np.empty(n)
     cpu = np.empty(n)
     duration = np.empty(n)
-    anomaly = np.empty(n, dtype=bool)
+    flag = np.empty(n, dtype=np.int64)
     fault_class = np.empty(n, dtype=np.int64)
     for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
         if len(row) != 6:
-            raise CsvFormatError(line_no, f"expected 6 fields, got {len(row)}")
+            raise CsvFormatError(i + 2, f"expected 6 fields, got {len(row)}")
         try:
             timestamps[i] = int(row[0])
             energy[i] = float(row[1])
             cpu[i] = float(row[2])
             duration[i] = float(row[3])
-            flag = int(row[4])
+            flag[i] = int(row[4])
             fault_class[i] = int(row[5])
         except ValueError as exc:
-            raise CsvFormatError(line_no, f"unparsable field: {exc}") from None
-        if flag not in (0, 1):
-            raise CsvFormatError(line_no, f"anomaly flag must be 0/1, got {row[4]}")
-        anomaly[i] = bool(flag)
-        if not 0.0 <= cpu[i] <= 1.0:
-            raise CsvFormatError(line_no, f"cpu {cpu[i]} outside [0,1]")
-        if duration[i] <= 0:
-            raise CsvFormatError(line_no, f"duration {duration[i]} not positive")
-        if not 1 <= fault_class[i] <= 12:
-            raise CsvFormatError(line_no, f"fault_class {fault_class[i]} outside 1..12")
-        if anomaly[i] != (fault_class[i] <= N_FAULT_CLASSES):
-            raise CsvFormatError(line_no, "anomaly flag inconsistent with fault_class")
-        if i > 0 and timestamps[i] <= timestamps[i - 1]:
-            raise CsvFormatError(line_no, "timestamps not strictly increasing")
-    finite = np.isfinite(energy) & np.isfinite(duration)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise CsvFormatError(i + 2, f"non-finite energy {energy[i]} or duration {duration[i]}")
+            raise CsvFormatError(i + 2, f"unparsable field: {exc}") from None
+        except OverflowError:
+            raise CsvFormatError(i + 2, "unparsable field: integer outside int64") from None
 
-    if n and bool(np.all(anomaly)):
-        regime = "anomaly_only"
-    elif bool(np.any(anomaly)):
-        regime = "mixed"
-    else:
-        regime = "normal_only"
-    return TimeSeriesDataset(timestamps, energy, cpu, duration, anomaly, fault_class, regime)
+    anomaly = flag == 1
+    regime = "anomaly_only" if n and anomaly.all() else "mixed" if anomaly.any() else "normal_only"
+    ds = TimeSeriesDataset(timestamps, energy, cpu, duration, anomaly, fault_class, regime)
+    bad = ds.first_bad_row()
+    flag_rows = np.flatnonzero((flag != 0) & (flag != 1))
+    if len(flag_rows) and (bad is None or flag_rows[0] <= bad[0]):
+        bad = int(flag_rows[0]), f"anomaly flag must be 0/1, got {flag[flag_rows[0]]}"
+    if bad is not None:
+        raise CsvFormatError(bad[0] + 2, bad[1])
+    return ds

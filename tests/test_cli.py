@@ -125,13 +125,20 @@ def test_usage_errors_exit_2(capsys):
     ("seg", "rf_feature_frac", 0.0),
     ("seg", "svm_lambda", 0.0),
     ("task2", "chunk_len", 32),             # task 3 and the manifest keep 64
+    ("", "seed", "x"),                      # "" is the config root
+    ("", "seed", 1.5),
+    ("", "seed", True),
+    ("", "out_dir", 5),
+    ("", "UTF-8", b'{"seed": 0, "out_dir": "runs/\xff"}'),  # bytes: the whole file
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     path = tmp_path / "cfg.json"
     save_run_config(RunConfig(), path)
-    if section is not None:
+    if isinstance(value, bytes):
+        path.write_bytes(value)
+    elif section is not None:
         data = json.loads(path.read_text())
-        data[section][key] = value
+        (data[section] if section else data)[key] = value
         path.write_text(json.dumps(data))
     code = run("gen", "--regime", "normal", "--len", "50", "--config", str(path),
                "--out", str(tmp_path / "n.csv"))
@@ -140,7 +147,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
         assert code == 0
     else:
         assert code == 2
-        assert "config error" in err and f"{section}: {key}" in err
+        assert "config error" in err and (f"{section}: {key}" if section else key) in err
 
 
 def test_missing_model_dir_exits_2(tmp_path, capsys):
@@ -225,6 +232,21 @@ def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and f"{file}.json" in err
+
+
+@pytest.mark.parametrize("find,replace", [
+    (b"1577836920,", b"100000000000000000000000,"),   # line 4's timestamp beyond int64
+    (b"1577836920,", b"15778\xff36920,"),              # a byte that is not UTF-8
+], ids=["int64-overflow", "not-utf8"])
+def test_infer_bad_csv_exits_1(tmp_path, capsys, find, replace):
+    series = tmp_path / "s.csv"
+    run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
+    series.write_bytes(series.read_bytes().replace(find, replace, 1))
+    save_models(tiny_models("full"), tmp_path / "m")
+    code = run("infer", "--models", str(tmp_path / "m"), "--in", str(series),
+               "--out", str(tmp_path / "pred.csv"))
+    assert code == 1
+    assert "error: line 4: unparsable field" in capsys.readouterr().err
 
 
 def test_infer_rejects_seed_and_config(tmp_path, capsys):

@@ -9,6 +9,7 @@ from faultlab.simgen import (
     N_FAULT_CLASSES,
     NO_FAULT,
     FaultSpec,
+    TimeSeriesDataset,
     aggregate_noise_sigma,
     generate_dataset,
     inject_fault,
@@ -250,11 +251,26 @@ def _csv_with_field(path, ds, column: int, value: str):
     return path
 
 
-def test_csv_rejects_out_of_range_values(tmp_path, normal_small):
-    # cpu must stay within [0, 1]
-    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), 2, "1.5")
-    with pytest.raises(CsvFormatError):
+@pytest.mark.parametrize("column,value", [
+    pytest.param(2, "1.5", id="cpu-1.5"),
+    pytest.param(2, "-0.1", id="cpu-negative"),
+    pytest.param(2, "nan", id="cpu-nan"),
+    pytest.param(3, "0", id="duration-0"),
+    pytest.param(4, "2", id="anomaly-2"),
+    pytest.param(5, "13", id="fault_class-13"),
+    pytest.param(5, "3", id="fault_class-3-with-flag-0"),
+    # normal_small starts at 1577836800 with a 60 s period: line 3's timestamp
+    pytest.param(0, "1577836860", id="timestamp-repeated"),
+    pytest.param(0, "1" + "0" * 23, id="timestamp-beyond-int64"),
+    pytest.param(5, "1" + "0" * 23, id="fault_class-beyond-int64"),
+    pytest.param(4, "-1" + "0" * 23, id="anomaly-beyond-int64"),
+    pytest.param(1, "1" * 200_000, id="energy-over-csv-field-limit"),
+])
+def test_csv_rejects_out_of_range_values(tmp_path, normal_small, column, value):
+    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), column, value)
+    with pytest.raises(CsvFormatError) as err:
         read_csv(path)
+    assert err.value.line_no == 4
 
 
 @pytest.mark.parametrize("column", [1, 3])  # energy, duration
@@ -264,3 +280,43 @@ def test_csv_rejects_non_finite_values(tmp_path, normal_small, column, value):
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert err.value.line_no == 4
+
+
+def test_csv_rejects_bytes_that_are_not_utf8(tmp_path, normal_small):
+    path = tmp_path / "bad.csv"
+    write_csv(normal_small.slice(0, 5), path)
+    lines = path.read_bytes().splitlines()
+    lines[3] = lines[3][:4] + b"\xff" + lines[3][4:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_csv(path)
+    assert err.value.line_no == 4
+
+
+def test_csv_reports_the_earliest_value_defect(tmp_path, normal_small):
+    # a non-finite energy on line 3 beats an out-of-range cpu on line 4
+    ds = normal_small.slice(0, 5)
+    path = _csv_with_field(tmp_path / "bad.csv", ds, 2, "1.5")
+    path.write_text(path.read_text().replace(f",{ds.energy.tolist()[1]!r},", ",nan,", 1))
+    with pytest.raises(CsvFormatError, match="energy nan") as err:
+        read_csv(path)
+    assert err.value.line_no == 3
+
+
+def test_csv_parse_error_beats_an_earlier_value_defect(tmp_path, normal_small):
+    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), 2, "1.5")
+    path.write_text(path.read_text() + "1577837100,42.0\n")
+    with pytest.raises(CsvFormatError, match="expected 6 fields") as err:
+        read_csv(path)
+    assert err.value.line_no == 7
+
+
+def test_validate_names_the_first_bad_row(normal_small):
+    ds = normal_small.slice(0, 5)
+    cpu = ds.cpu.copy()
+    cpu[[2, 4]] = 1.5
+    bad = TimeSeriesDataset(ds.timestamps, ds.energy, cpu, ds.duration, ds.anomaly,
+                            ds.fault_class, ds.regime)
+    assert bad.first_bad_row() == (2, "cpu 1.5 outside [0,1]")
+    with pytest.raises(InvariantViolation, match=r"^row 2: cpu 1.5 outside \[0,1\]$"):
+        bad.validate()
