@@ -49,6 +49,8 @@ from .simgen import NO_FAULT, TimeSeriesDataset
 
 N_CLASSES = 12
 VARIANTS = ("full", "b2_no_cpd", "b3_no_segclass")
+# Most chunks a task network scores in one forward pass (see infer_series).
+INFER_BATCH_CHUNKS = 256
 
 
 @dataclass
@@ -118,8 +120,23 @@ class SequenceClassifier:
         return value, grads
 
     def infer_series(self, x: np.ndarray, chunk_len: int) -> np.ndarray:
-        """(T, D) -> per-step probabilities (T, n_out), stateless chunks."""
-        probs = self.forward_probs(_pad_chunks(x, chunk_len))
+        """(T, D) -> per-step probabilities (T, n_out), stateless chunks.
+
+        The chunks are cut and run through the network in batches of at most
+        INFER_BATCH_CHUNKS, so the working set is one batch's whatever T is.
+        The batches are near-equal in size, so when there is more than one,
+        each holds at least half of INFER_BATCH_CHUNKS chunks. That keeps the
+        bits those of one pass over all chunks: with OpenBLAS a batch of ten
+        or more chunks gives each chunk the same bits as any larger batch,
+        while nine or fewer take a small-matrix kernel with other last bits.
+        """
+        n = -(-len(x) // chunk_len)
+        n_batches = max(1, -(-n // INFER_BATCH_CHUNKS))
+        bounds = [n * j // n_batches for j in range(n_batches + 1)]
+        probs = np.empty((n, chunk_len, self.n_out))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            chunks = _pad_chunks(x[lo * chunk_len:hi * chunk_len], chunk_len)
+            probs[lo:hi] = self.forward_probs(chunks)
         return probs.reshape(-1, self.n_out)[:len(x)]
 
     def to_checkpoint(self, kind: str, meta: dict | None = None) -> Checkpoint:
@@ -232,12 +249,12 @@ def train_task2(mixed: TimeSeriesDataset, mask: np.ndarray, cfg: TaskNetConfig,
     return model
 
 
-def task2_score(model: SequenceClassifier, series, segments: list[Segment],
-                std: Standardizer, chunk_len: int = 64) -> np.ndarray:
-    """O_t2: anomaly probability inside segments, exactly 0 outside."""
-    x = as_features(series)
-    mask = segments_to_mask(segments, len(x))
-    probs = model.infer_series(std.apply(x), chunk_len)
+def task2_score(model: SequenceClassifier, x_std: np.ndarray, segments: list[Segment],
+                chunk_len: int = 64) -> np.ndarray:
+    """O_t2 of a standardized (T, 3) series: anomaly probability inside
+    segments, exactly 0 outside."""
+    mask = segments_to_mask(segments, len(x_std))
+    probs = model.infer_series(x_std, chunk_len)
     return np.where(mask == 1.0, probs[:, 1], 0.0)
 
 
@@ -353,8 +370,9 @@ def smtcnn_infer(series, models: SmtcnnModels) -> CascadePrediction:
     """Tasks 1 -> 2 -> 3 in pipeline order."""
     x = as_features(series)
     segments, mask = propose_for_variant(models, x)
-    o_t2 = task2_score(models.task2, x, segments, models.std, models.chunk_len)
-    inputs = build_task3_inputs(models.std.apply(x), mask, o_t2)
+    x_std = models.std.apply(x)
+    o_t2 = task2_score(models.task2, x_std, segments, models.chunk_len)
+    inputs = build_task3_inputs(x_std, mask, o_t2)
     probs = models.task3.infer_series(inputs, models.chunk_len)
     classes = predict_classes(probs)
     return CascadePrediction(classes=classes, anomaly=classes != NO_FAULT, probs=probs)

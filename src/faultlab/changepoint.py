@@ -104,13 +104,17 @@ class LstmAutoencoder:
         if xs.ndim != 3 or xs.shape[2] != N_CHANNELS:
             raise ShapeMismatchError(f"expected (B, W, {N_CHANNELS}) windows, got {xs.shape}")
         nb, nw = xs.shape[0], xs.shape[1]
-        latents = []
+        z = np.empty((nb, self.decoder.input_size))
+        col = 0
         enc_caches = []
         for ch, enc in enumerate(self.encoders):
             hs, cache = lstm_forward_batch(xs[:, :, ch:ch + 1], enc, want_cache=want_cache)
-            latents.append(hs[:, -1, :])
+            # Copy the final state into z and drop hs, so that no view keeps
+            # the (B, W, H) outputs alive through the decoder.
+            z[:, col:col + enc.hidden_size] = hs[:, -1, :]
+            col += enc.hidden_size
             enc_caches.append(cache)
-        z = np.concatenate(latents, axis=1)
+            del hs
         # A zero-copy view: the decoder sees z at every step and projects it once.
         dec_in = np.broadcast_to(z[:, None, :], (nb, nw, z.shape[1]))
         hd, dec_cache = lstm_forward_batch(dec_in, self.decoder, want_cache=want_cache)
@@ -237,11 +241,16 @@ def reconstruction_errors(model: LstmAutoencoder, series,
     x = as_features(series)
     windows = sliding_windows(x, model.window)
     out = np.empty(len(windows))
+    std = model.std
     for i in range(0, len(windows), batch):
-        chunk = model.std.apply(np.ascontiguousarray(windows[i:i + batch]))
-        recon, _ = model._forward(chunk, want_cache=False)
-        diff = recon - chunk
-        out[i:i + batch] = np.mean(diff * diff, axis=(1, 2))
+        # the same (x - mu) / sd and (recon - x)^2 as Standardizer.apply and
+        # the plain MSE, computed in the batch's own buffers
+        chunk = np.subtract(windows[i:i + batch], std.mu, order="C")
+        chunk /= std.sd
+        diff, _ = model._forward(chunk, want_cache=False)
+        diff -= chunk
+        diff *= diff
+        out[i:i + batch] = np.mean(diff, axis=(1, 2))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, load_run_config, save_run_config
 from .errors import ConfigError, FaultlabError
-from .simgen import N_FAULT_CLASSES, generate_dataset, read_csv, write_csv
+from .simgen import N_FAULT_CLASSES, generate_dataset, read_csv, write_columns, write_csv
 
 REGIME_ALIASES = {"normal": "normal_only", "anomaly": "anomaly_only", "mixed": "mixed"}
 VARIANT_ALIASES = {"b2": "b2_no_cpd", "b3": "b3_no_segclass", "full": "full",
@@ -117,9 +117,8 @@ def cmd_infer(args) -> int:
     models = load_models(args.models)
     pred = smtcnn_infer(series, models)
     p_anom = 1.0 - pred.probs[:, NO_FAULT - 1]
-    lines = ["index,class,p_anomaly"]
-    lines += [f"{i},{int(c)},{float(p)!r}" for i, (c, p) in enumerate(zip(pred.classes, p_anom))]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_columns(args.out, ["index", "class", "p_anomaly"],
+                  [np.arange(len(p_anom)), pred.classes, p_anom], lineterminator="\n")
     n_anom = int(np.sum(pred.anomaly))
     print(f"wrote {args.out}: rows={len(series)} anomalous={n_anom}")
     return 0

@@ -143,6 +143,7 @@ class SimConfig:
         return table[regime]
 
     def validate(self) -> None:
+        _check(_is_int(self.seed), f"seed must be an integer, got {self.seed!r}")
         if self.n_points is not None:
             _check_ints(self, 1, "n_points")
         _check_ints(self, 1, "n_devices", "period_s", "diurnal_period_steps", "benign_ramp")

@@ -152,7 +152,7 @@ def train_task_nets(assets: ExperimentAssets, start: int, length: int, variant: 
         task2 = train_task2(train_ds, mask, cfg.task2, std,
                             seed=cfg.stage_seed("task2" + tag))
         stages[use_cpd] = Task2Stage(train_ds, std, segs, mask, task2,
-                                     task2_score(task2, x, segs, std, cfg.task2.chunk_len))
+                                     task2_score(task2, std.apply(x), segs, cfg.task2.chunk_len))
     st = stages[use_cpd]
     bias = None
     if variant != "b3_no_segclass":
@@ -173,10 +173,11 @@ def _run_fold(assets: ExperimentAssets, fold, fold_idx: int, variant: str,
     st, task3 = train_task_nets(assets, fold.train_start, fold.train_len, variant,
                                 f":fold{fold_idx}", stages)
     if use_cpd not in test_inputs:
-        x_te = assets.mixed.features()[fold.test_start:fold.test_start + fold.test_len]
+        x_te = st.std.apply(
+            assets.mixed.features()[fold.test_start:fold.test_start + fold.test_len])
         segs_te, mask_te = block_proposals(assets, fold.test_start, fold.test_len, use_cpd)
-        o2_te = task2_score(st.task2, x_te, segs_te, st.std, cfg.task2.chunk_len)
-        test_inputs[use_cpd] = build_task3_inputs(st.std.apply(x_te), mask_te, o2_te)
+        o2_te = task2_score(st.task2, x_te, segs_te, cfg.task2.chunk_len)
+        test_inputs[use_cpd] = build_task3_inputs(x_te, mask_te, o2_te)
     preds = predict_classes(task3.infer_series(test_inputs[use_cpd], cfg.task3.chunk_len))
     truth = assets.mixed.fault_class[fold.test_start:fold.test_start + fold.test_len]
     return metrics(confusion(preds, truth, classes=ALL_CLASSES))

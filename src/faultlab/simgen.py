@@ -14,6 +14,7 @@ false-positive temptation.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -325,16 +326,30 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
     return ds
 
 
-def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
-    """Serialize with full float precision: csv writes a float as its repr,
-    which round-trips float64."""
+# Rows a CSV writer converts to Python objects at a time, so that writing
+# holds one block of rows besides the columns, whatever the file's length.
+CSV_BLOCK_ROWS = 8192
+
+
+def write_columns(path: str | Path, header: list[str], columns: list[np.ndarray],
+                  lineterminator: str = "\r\n") -> None:
+    """Write equal-length 1-D arrays as the columns of a CSV file.
+
+    csv writes an int as str and a float as its repr, which round-trips
+    float64. Rows go out CSV_BLOCK_ROWS at a time; the bytes are those of
+    one `writerows` over the whole file.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(
-            ds.timestamps.tolist(), ds.energy.tolist(), ds.cpu.tolist(), ds.duration.tolist(),
-            ds.anomaly.view(np.uint8).tolist(), ds.fault_class.tolist(),
-        ))
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            writer.writerows(zip(*(col[i:i + CSV_BLOCK_ROWS].tolist() for col in columns)))
+
+
+def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
+    """Serialize with full float precision."""
+    write_columns(path, CSV_HEADER, [ds.timestamps, ds.energy, ds.cpu, ds.duration,
+                                     ds.anomaly.view(np.uint8), ds.fault_class])
 
 
 def read_csv(path: str | Path) -> TimeSeriesDataset:
@@ -345,7 +360,13 @@ def read_csv(path: str | Path) -> TimeSeriesDataset:
     row with an anomaly flag other than 0/1 or a broken row invariant (see
     `TimeSeriesDataset.first_bad_row`). Bytes that are not UTF-8 decode to
     lone surrogates, which no field parses, so they fail at their own line.
+    Each row is parsed as the reader yields it, into typed columns that
+    grow, so no row outlives its own parse.
     """
+    # int64 (q) and float64 (d) columns in CSV order; the flag is an int
+    # until it is checked to be 0/1.
+    columns = tuple(array(code) for code in "qdddqq")
+    add_ts, add_e, add_c, add_d, add_flag, add_k = (col.append for col in columns)
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
@@ -354,32 +375,26 @@ def read_csv(path: str | Path) -> TimeSeriesDataset:
                 raise CsvFormatError(1, "empty file, expected header")
             if header != CSV_HEADER:
                 raise CsvFormatError(1, f"bad header {header!r}")
-            rows = list(reader)
+            for line, row in enumerate(reader, start=2):
+                if len(row) != 6:
+                    raise CsvFormatError(line, f"expected 6 fields, got {len(row)}")
+                try:
+                    add_ts(int(row[0]))
+                    add_e(float(row[1]))
+                    add_c(float(row[2]))
+                    add_d(float(row[3]))
+                    add_flag(int(row[4]))
+                    add_k(int(row[5]))
+                except ValueError as exc:
+                    raise CsvFormatError(line, f"unparsable field: {exc}") from None
+                except OverflowError:
+                    raise CsvFormatError(line, "unparsable field: integer outside int64") from None
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise CsvFormatError(reader.line_num, str(exc)) from None
 
-    n = len(rows)
-    timestamps = np.empty(n, dtype=np.int64)
-    energy = np.empty(n)
-    cpu = np.empty(n)
-    duration = np.empty(n)
-    flag = np.empty(n, dtype=np.int64)
-    fault_class = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != 6:
-            raise CsvFormatError(i + 2, f"expected 6 fields, got {len(row)}")
-        try:
-            timestamps[i] = int(row[0])
-            energy[i] = float(row[1])
-            cpu[i] = float(row[2])
-            duration[i] = float(row[3])
-            flag[i] = int(row[4])
-            fault_class[i] = int(row[5])
-        except ValueError as exc:
-            raise CsvFormatError(i + 2, f"unparsable field: {exc}") from None
-        except OverflowError:
-            raise CsvFormatError(i + 2, "unparsable field: integer outside int64") from None
-
+    timestamps, energy, cpu, duration, flag, fault_class = (
+        np.frombuffer(col, dtype=np.int64 if col.typecode == "q" else float) for col in columns)
+    n = len(timestamps)
     anomaly = flag == 1
     regime = "anomaly_only" if n and anomaly.all() else "mixed" if anomaly.any() else "normal_only"
     ds = TimeSeriesDataset(timestamps, energy, cpu, duration, anomaly, fault_class, regime)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from faultlab.cascade import (
+    INFER_BATCH_CHUNKS,
     N_CLASSES,
     SequenceClassifier,
     SmtcnnModels,
@@ -85,7 +86,7 @@ def test_task2_labels_partition():
 def test_task2_score_exactly_zero_outside_segments():
     models = tiny_models()
     x = np.random.default_rng(1).normal(size=(12, 3))
-    scores = task2_score(models.task2, x, [Segment(3, 7)], models.std, chunk_len=8)
+    scores = task2_score(models.task2, models.std.apply(x), [Segment(3, 7)], chunk_len=8)
     assert scores.shape == (12,)
     assert np.all(scores[:3] == 0.0) and np.all(scores[7:] == 0.0)
     assert np.all((scores[3:7] > 0.0) & (scores[3:7] < 1.0))
@@ -206,6 +207,21 @@ def test_infer_series_handles_ragged_tail():
     short = model.infer_series(x[:2], chunk_len=4)
     assert short.shape == (2, 2)
     assert np.allclose(short, probs[:2], atol=1e-12)
+
+
+@pytest.mark.parametrize("input_dim,n_out", [(3, 2), (5, N_CLASSES)])  # task 2, task 3
+def test_infer_series_batches_match_one_pass(input_dim, n_out):
+    # k * INFER_BATCH_CHUNKS + 1 chunks at the real shapes: the near-equal
+    # batches give every step the bits of one pass over all the chunks.
+    rng = np.random.default_rng(4)
+    model = SequenceClassifier.init(rng, input_dim, 32, n_out)
+    chunk_len = 64
+    x = rng.normal(size=((2 * INFER_BATCH_CHUNKS + 1) * chunk_len - 5, input_dim))
+    padded = np.zeros((len(x) + 5, input_dim))
+    padded[:len(x)] = x
+    whole = model.forward_probs(padded.reshape(-1, chunk_len, input_dim))
+    assert model.infer_series(x, chunk_len).tobytes() == \
+        whole.reshape(-1, n_out)[:len(x)].tobytes()
 
 
 # --- bundle + persistence --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Change-point detection: thresholding, segment assembly, autoencoder plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,25 @@ def test_checkpoint_round_trip(tmp_path, normal_small):
     a = reconstruction_errors(model, normal_small)
     b = reconstruction_errors(clone, normal_small)
     assert np.array_equal(a, b)
+
+
+def test_reconstruction_errors_batch_working_set():
+    # One 4096-window batch at the real shapes (window 16, encoders 16,
+    # decoder 32). The decoder's (B, W, 32) outputs alone take 16 MiB; keeping
+    # the three encoders' (B, W, 16) outputs alive beside them reaches 63 MiB.
+    cfg = CpdConfig()
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(4096 + cfg.window - 1, 3))
+    model = LstmAutoencoder.init(rng, cfg, Standardizer.fit(x))
+    reconstruction_errors(model, x)
+    tracemalloc.start()
+    try:
+        errs = reconstruction_errors(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errs.shape == (4096,)
+    assert peak < 45 * 2**20, f"one scoring batch peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_reconstruction_errors_rejects_bad_series():

@@ -120,6 +120,8 @@ def test_usage_errors_exit_2(capsys):
     ("sim", "fault_rate", "x"),
     ("sim", "energy_base", [10.0, 12.0]),   # four devices
     ("sim", "fault_len", [0, 60]),
+    ("sim", "seed", "x"),                   # the root seed replaces it only after loading
+    ("sim", "seed", True),
     ("seg", "window", 0),
     ("seg", "rf_trees", 2.5),
     ("seg", "rf_feature_frac", 0.0),

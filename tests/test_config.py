@@ -54,6 +54,9 @@ def test_sim_validate_rejects_bad_values():
         SimConfig(n_points=0).validate()
     with pytest.raises(ConfigError):
         SimConfig(n_devices=3).validate()  # baseline tuples are for 4
+    for seed in (1.5, "x", True):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SimConfig(seed=seed).validate()
 
 
 def test_run_config_round_trip(tmp_path):

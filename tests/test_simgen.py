@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +8,7 @@ from numpy.testing import assert_allclose
 from faultlab.config import SimConfig
 from faultlab.errors import CsvFormatError, InvariantViolation
 from faultlab.simgen import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     N_FAULT_CLASSES,
     NO_FAULT,
@@ -16,6 +20,7 @@ from faultlab.simgen import (
     read_csv,
     simulate_normal,
     true_fault_windows,
+    write_columns,
     write_csv,
 )
 
@@ -217,6 +222,46 @@ def test_csv_round_trip(tmp_path, mixed_small):
     assert back.regime == "mixed"
 
 
+def test_write_csv_in_blocks_matches_one_writerows(tmp_path):
+    ds = generate_dataset("mixed", SimConfig(seed=4, n_points=2 * CSV_BLOCK_ROWS + 5,
+                                             fault_rate=0.08))
+    path = tmp_path / "blocks.csv"
+    write_csv(ds, path)
+    with open(tmp_path / "whole.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(zip(ds.timestamps.tolist(), ds.energy.tolist(), ds.cpu.tolist(),
+                             ds.duration.tolist(), ds.anomaly.view(np.uint8).tolist(),
+                             ds.fault_class.tolist()))
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_columns_writes_ints_and_float_reprs(tmp_path):
+    p = np.array([0.1, 1e-300, 1.0 - 2.0**-53, 0.0, -0.0, np.nan] * (CSV_BLOCK_ROWS // 3))
+    classes = np.arange(len(p)) % 12 + 1
+    path = tmp_path / "pred.csv"
+    write_columns(path, ["index", "class", "p_anomaly"], [np.arange(len(p)), classes, p],
+                  lineterminator="\n")
+    lines = ["index,class,p_anomaly"]
+    lines += [f"{i},{int(c)},{float(v)!r}" for i, (c, v) in enumerate(zip(classes, p))]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_read_csv_holds_columns_not_rows(tmp_path):
+    # The six parsed columns need 0.9 MiB; holding every row as a list of
+    # strings before parsing takes 9.5 MiB.
+    path = tmp_path / "mixed.csv"
+    write_csv(generate_dataset("mixed", SimConfig(seed=3, n_points=20000)), path)
+    tracemalloc.start()
+    try:
+        ds = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 20000
+    assert peak < 3 * 2**20, f"read_csv peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_csv_header_is_stable(tmp_path, normal_small):
     path = tmp_path / "n.csv"
     write_csv(normal_small, path)
@@ -309,6 +354,15 @@ def test_csv_parse_error_beats_an_earlier_value_defect(tmp_path, normal_small):
     with pytest.raises(CsvFormatError, match="expected 6 fields") as err:
         read_csv(path)
     assert err.value.line_no == 7
+
+
+def test_csv_reports_the_earliest_unsplittable_line(tmp_path, normal_small):
+    # an unparsable cpu on line 4 beats a field over the csv size limit on line 7
+    path = _csv_with_field(tmp_path / "bad.csv", normal_small.slice(0, 5), 2, "x")
+    path.write_text(path.read_text() + "1577837100," + "1" * 200_000 + ",0.3,0.2,0,12\n")
+    with pytest.raises(CsvFormatError, match="unparsable field") as err:
+        read_csv(path)
+    assert err.value.line_no == 4
 
 
 def test_validate_names_the_first_bad_row(normal_small):
