@@ -1,18 +1,23 @@
-"""Byte-identity check of `faultlab pipeline` between a git revision and the
-working tree.
+"""Byte-identity check of `faultlab pipeline` and `faultlab infer` between a
+git revision and the working tree.
 
 A change that is meant to leave every floating-point result alone must leave
-the pipeline's output directory, stdout and stderr byte-identical. This
-script exports REV with `git archive` into a temporary directory, runs
+every file these commands write, their exit codes, stdout and stderr
+byte-identical. This script exports REV with `git archive` into a temporary
+directory and, for each CONFIG, runs in a fresh directory
 
-    python3 -m faultlab.cli pipeline [--config CONFIG] --out DIR
+    python3 -m faultlab.cli pipeline [--config CONFIG] --out out
+    python3 -m faultlab.cli gen --regime mixed [--config CONFIG] --out mixed.csv
+    python3 -m faultlab.cli infer --models out/models/VARIANT --in mixed.csv \
+        --out pred_VARIANT.csv                      (for each VARIANT trained)
 
-once from that tree and once from the working tree for each CONFIG, and
-compares the two output directories file by file, then stdout and stderr.
-The word `default` in place of a config path runs the default config. Each
-tree's root path is replaced by `<tree>` in stderr before it is compared,
-so that warnings naming a source file compare equal. Exit code 0 means no
-difference, 1 a difference, 2 a usage error or a failed export.
+once with that tree's sources and once with the working tree's. It then
+compares the two directories file by file, the exit codes, and the joined
+stdout and stderr. The word `default` in place of a config path runs the
+default config. Each tree's root path is replaced by `<tree>` in stderr
+before it is compared, so that warnings naming a source file compare equal.
+Exit code 0 means no difference, 1 a difference, 2 a usage error or a failed
+export.
 
     python3 scripts/pipeline_oracle.py --rev HEAD configs/quick.json default
 """
@@ -43,30 +48,42 @@ def export(rev: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
-def run_pipeline(tree: Path, config: Path | None, out: Path) -> tuple[int, bytes, bytes]:
-    """One pipeline run with `tree`'s sources; returns (exit code, stdout, stderr)."""
+def run_commands(tree: Path, config: Path | None, work: Path) -> tuple[list[int], bytes, bytes]:
+    """The commands above with `tree`'s sources, inside `work`; returns their
+    exit codes and their joined stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "faultlab.cli", "pipeline", "--out", str(out)]
-    if config is not None:
-        cmd += ["--config", str(config)]
-    proc = subprocess.run(cmd, cwd=out.parent, env=env, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr.replace(str(tree).encode(), b"<tree>")
+    cfg = [] if config is None else ["--config", str(config)]
+    codes, stdout, stderr = [], b"", b""
+
+    def run(*args: str) -> None:
+        nonlocal stdout, stderr
+        proc = subprocess.run([sys.executable, "-m", "faultlab.cli", *args], cwd=work,
+                              env=env, capture_output=True)
+        codes.append(proc.returncode)
+        stdout += proc.stdout
+        stderr += proc.stderr.replace(str(tree).encode(), b"<tree>")
+
+    run("pipeline", *cfg, "--out", "out")
+    run("gen", "--regime", "mixed", *cfg, "--out", "mixed.csv")
+    models = work / "out" / "models"
+    for variant in sorted(p.name for p in models.iterdir()) if models.is_dir() else []:
+        run("infer", "--models", f"out/models/{variant}", "--in", "mixed.csv",
+            "--out", f"pred_{variant}.csv")
+    return codes, stdout, stderr
 
 
 def tree_files(root: Path) -> dict[str, bytes]:
-    if not root.is_dir():
-        return {}
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def compare(base: tuple, new: tuple, base_out: Path, new_out: Path) -> list[str]:
+def compare(base: tuple, new: tuple, base_work: Path, new_work: Path) -> list[str]:
     """Every difference between two runs, as one line each."""
     diffs = []
-    for what, a, b in zip(("exit code", "stdout", "stderr"), base, new):
+    for what, a, b in zip(("exit codes", "stdout", "stderr"), base, new):
         if a != b:
-            diffs.append(f"{what} differs")
-    files_a, files_b = tree_files(base_out), tree_files(new_out)
+            diffs.append(f"{what} differ")
+    files_a, files_b = tree_files(base_work), tree_files(new_work)
     for name in sorted(set(files_a) | set(files_b)):
         if name not in files_b:
             diffs.append(f"only in the revision's output: {name}")
@@ -75,7 +92,7 @@ def compare(base: tuple, new: tuple, base_out: Path, new_out: Path) -> list[str]
         elif files_a[name] != files_b[name]:
             diffs.append(f"differs: {name}")
     if not files_a and not files_b:
-        diffs.append("neither run wrote an output directory")
+        diffs.append("neither run wrote a file")
     return diffs
 
 
@@ -104,17 +121,17 @@ def main(argv=None) -> int:
             label = "default" if config is None else str(config)
             runs = {}
             for side, tree in (("rev", base_tree), ("work", REPO)):
-                out = Path(tmp) / f"{side}_{n}" / "out"
-                out.parent.mkdir()
-                runs[side] = (run_pipeline(tree, config, out), out)
-            (base, base_out), (new, new_out) = runs["rev"], runs["work"]
-            diffs = compare(base, new, base_out, new_out)
-            n_files = len(tree_files(new_out))
+                work = Path(tmp) / f"{side}_{n}"
+                work.mkdir()
+                runs[side] = (run_commands(tree, config, work), work)
+            (base, base_work), (new, new_work) = runs["rev"], runs["work"]
+            diffs = compare(base, new, base_work, new_work)
+            n_files = len(tree_files(new_work))
             if diffs:
                 failed = True
                 print(f"DIFFER {label}: " + "; ".join(diffs))
             else:
-                print(f"SAME   {label}: exit {new[0]}, {n_files} files, "
+                print(f"SAME   {label}: exit codes {new[0]}, {n_files} files, "
                       f"{len(new[1])} B stdout, {len(new[2])} B stderr")
     return 1 if failed else 0
 

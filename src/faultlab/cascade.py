@@ -1,14 +1,16 @@
 """The SMTCNN cascade: segment proposal, anomaly refinement, classification.
 
-Task 1 reuses the change-point detector to propose segments (mask O_t1).
-Task 2 is a two-layer LSTM with a 2-way softmax head, trained only on steps
-inside proposed segments; its per-step anomaly probability is O_t2 (zero
-outside segments). Task 3 is a two-layer LSTM over [X, O_t1, O_t2] with a
-12-way softmax head trained on the per-step class labels, optionally warm
-started from segment-classifier predictions (a per-class head-bias prior).
+Task 1 turns the change-point detector's window errors into proposed segments
+(mask O_t1). Task 2 is a two-layer LSTM with a 2-way softmax head, trained
+only on steps inside proposed segments; its per-step anomaly probability is
+O_t2 (zero outside segments). Task 3 is a two-layer LSTM over [X, O_t1, O_t2]
+with a 12-way softmax head trained on the per-step class labels, optionally
+warm started from segment-classifier predictions (a per-class head-bias prior).
 
-Ablations: b2_no_cpd replaces O_t1 with an all-ones mask; b3_no_segclass
-drops the warm start.
+`VARIANT_STAGES` says which shared stages each variant uses (b2_no_cpd
+proposes one segment over the whole series; b3_no_segclass drops the warm
+start). `smtcnn_infer`, training and every CV fold run the tasks through
+`task1_proposal`, `build_task3_inputs` and `task3_predict`.
 
 Long series are processed as fixed-length stateless chunks, during both
 training and inference, so the two phases see identical input distributions.
@@ -17,6 +19,7 @@ training and inference, so the two phases see identical input distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +51,22 @@ from .segclass import ClassifierModel, predict_batch, windowize_features
 from .simgen import NO_FAULT, TimeSeriesDataset
 
 N_CLASSES = 12
-VARIANTS = ("full", "b2_no_cpd", "b3_no_segclass")
+
+
+class Stages(NamedTuple):
+    """The shared stages a variant uses: the change-point detector proposes
+    task 1's segments; the segment classifier's prior warm-starts task 3."""
+
+    cpd: bool
+    segclass: bool
+
+
+VARIANT_STAGES = {
+    "full": Stages(cpd=True, segclass=True),
+    "b2_no_cpd": Stages(cpd=False, segclass=True),
+    "b3_no_segclass": Stages(cpd=True, segclass=False),
+}
+VARIANTS = tuple(VARIANT_STAGES)
 # Most chunks a task network scores in one forward pass (see infer_series).
 INFER_BATCH_CHUNKS = 256
 
@@ -174,8 +192,7 @@ def chunk_series(x: np.ndarray, labels: np.ndarray, chunk_len: int):
 
 
 def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
-                     cfg: TaskNetConfig, rng: np.random.Generator,
-                     rare: np.ndarray | None = None) -> None:
+                     cfg: TaskNetConfig, rng: np.random.Generator, rare: np.ndarray) -> None:
     """Minibatch training over label chunks.
 
     `rare` marks chunks carrying the minority labels; they are repeated per
@@ -188,19 +205,17 @@ def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
     keep = np.nonzero(ys.any(axis=1))[0]  # chunks with at least one labeled step
     if len(keep) == 0:
         raise DegenerateDataError("no labeled chunks to train on")
-    xs, ys = xs[keep], ys[keep]
-    if rare is not None:
-        rare = np.asarray(rare, dtype=bool)[keep]
+    xs, ys, rare = xs[keep], ys[keep], rare[keep]
     n_val = max(1, int(cfg.val_frac * len(xs)))
     val = (xs[-n_val:], ys[-n_val:])
     trn_x, trn_y = xs[:-n_val], ys[:-n_val]
-    trn_rare = None if rare is None else rare[:-n_val]
+    trn_rare = rare[:-n_val]
     if len(trn_x) == 0:
         trn_x, trn_y = val
-        trn_rare = None if rare is None else rare[-n_val:]
+        trn_rare = rare[-n_val:]
 
     deck = np.arange(len(trn_x))
-    if cfg.rebalance_frac and trn_rare is not None:
+    if cfg.rebalance_frac:
         k = int(trn_rare.sum())
         frac = cfg.rebalance_frac
         if 0 < k < frac * len(trn_x):
@@ -260,35 +275,25 @@ def task2_score(model: SequenceClassifier, x_std: np.ndarray, segments: list[Seg
 
 # --- segclass coupling ----------------------------------------------------------
 
-def segclass_step_classes(seg_model: ClassifierModel, x: np.ndarray,
-                          segments: list[Segment], seg_cfg: SegclassConfig) -> np.ndarray:
-    """Per-step class votes from the segment classifier, 0 where unassigned.
-
-    Each window inside a proposed segment casts its predicted class onto the
-    steps it covers; later windows overwrite overlaps, which is fine for the
-    prior-counting purpose this serves.
-    """
-    votes = np.zeros(len(x), dtype=np.int64)
-    w, s = seg_cfg.window, seg_cfg.stride
-    spans = [(seg.start, seg.end) for seg in segments if seg.end - seg.start >= w]
-    if not spans:
-        return votes
-    preds, _ = predict_batch(seg_model, np.concatenate(
-        [windowize_features(x[a:b], w, s) for a, b in spans]))
-    starts = np.concatenate([np.arange(a, b - w + 1, s) for a, b in spans])
-    for start, pred in zip(starts, preds):
-        votes[start:start + w] = pred
-    return votes
-
-
 def warm_start_bias(seg_model: ClassifierModel, x: np.ndarray,
                     segments: list[Segment], seg_cfg: SegclassConfig) -> np.ndarray:
     """Head-bias prior distilled from segment-classifier predictions.
 
-    Steps voted as fault class c count toward class c; all unassigned steps
-    count toward class 12. Laplace smoothing keeps every bias finite.
+    Each window inside a proposed segment casts its predicted class onto the
+    steps it covers; later windows overwrite overlaps, which is fine for
+    counting. Steps voted as fault class c count toward class c; all
+    unassigned steps count toward class 12. Laplace smoothing keeps every
+    bias finite.
     """
-    votes = segclass_step_classes(seg_model, x, segments, seg_cfg)
+    votes = np.zeros(len(x), dtype=np.int64)  # 0 = unassigned
+    w, s = seg_cfg.window, seg_cfg.stride
+    spans = [(seg.start, seg.end) for seg in segments if seg.end - seg.start >= w]
+    if spans:
+        preds, _ = predict_batch(seg_model, np.concatenate(
+            [windowize_features(x[a:b], w, s) for a, b in spans]))
+        starts = np.concatenate([np.arange(a, b - w + 1, s) for a, b in spans])
+        for start, pred in zip(starts, preds):
+            votes[start:start + w] = pred
     per_vote = np.bincount(votes, minlength=N_CLASSES)  # index 0 = unassigned
     counts = np.append(per_vote[1:N_CLASSES], per_vote[0]).astype(float)
     smooth = seg_cfg.prior_smoothing_frac * len(x)
@@ -298,19 +303,10 @@ def warm_start_bias(seg_model: ClassifierModel, x: np.ndarray,
 
 # --- Task 3 ---------------------------------------------------------------------
 
-def build_task3_inputs(x_std: np.ndarray, o_t1: np.ndarray, o_t2: np.ndarray) -> np.ndarray:
-    """Per-step concatenation X | O_t1 | O_t2 -> (T, 5)."""
-    if not (len(x_std) == len(o_t1) == len(o_t2)):
-        raise ShapeMismatchError("task 3 input lengths differ")
-    return np.column_stack([x_std, o_t1, o_t2])
-
-
-def train_task3(mixed: TimeSeriesDataset, o_t1: np.ndarray, o_t2: np.ndarray,
-                cfg: TaskNetConfig, std: Standardizer, seed: int = 0,
+def train_task3(inputs: np.ndarray, labels: np.ndarray, cfg: TaskNetConfig, seed: int = 0,
                 init_bias: np.ndarray | None = None) -> SequenceClassifier:
-    """Fit the 12-way per-step classifier with the sequence cross entropy loss."""
-    inputs = build_task3_inputs(std.apply(mixed.features()), o_t1, o_t2)
-    labels = mixed.fault_class.astype(np.int64)
+    """Fit the 12-way per-step classifier on task 3's (T, 5) inputs with the
+    sequence cross entropy loss."""
     rng = np.random.default_rng(seed)
     model = SequenceClassifier.init(rng, inputs.shape[1], cfg.hidden, N_CLASSES)
     if init_bias is not None:
@@ -331,7 +327,13 @@ def predict_classes(probs: np.ndarray) -> np.ndarray:
     return classes
 
 
-# --- whole-pipeline bundle ---------------------------------------------------
+# --- one cascade path ------------------------------------------------------------
+
+def variant_stages(variant: str) -> Stages:
+    if variant not in VARIANTS:  # not the dict: an unhashable value must not raise TypeError
+        raise InvariantViolation(f"unknown variant {variant!r}")
+    return VARIANT_STAGES[variant]
+
 
 @dataclass
 class SmtcnnModels:
@@ -347,35 +349,50 @@ class SmtcnnModels:
     chunk_len: int = 64
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvariantViolation(f"unknown variant {self.variant!r}")
+        variant_stages(self.variant)
 
 
-def no_cpd_proposal(length: int) -> tuple[list[Segment], np.ndarray]:
-    """Task 1 output of the b2_no_cpd ablation: one segment over the whole series."""
-    return [Segment(0, length)], np.ones(length)
+def task1_proposal(variant: str, length: int, errors: np.ndarray | None,
+                   threshold: ThresholdSpec | None, cpd_cfg: CpdConfig,
+                   ) -> tuple[list[Segment], np.ndarray]:
+    """Task 1: the window errors of a `length`-step series -> segments, 0/1 mask.
+
+    A variant without the change-point stage (b2_no_cpd) proposes one
+    segment over the whole series and reads no errors.
+    """
+    if not variant_stages(variant).cpd:
+        return [Segment(0, length)], np.ones(length)
+    if errors is None or threshold is None:
+        raise InvariantViolation(f"variant {variant} needs change-point errors and a threshold")
+    return propose_segments(errors, threshold, cpd_cfg, length)
 
 
-def propose_for_variant(models: SmtcnnModels, series) -> tuple[list[Segment], np.ndarray]:
-    x = as_features(series)
-    if models.variant == "b2_no_cpd":
-        return no_cpd_proposal(len(x))
-    if models.autoencoder is None or models.threshold is None:
-        raise InvariantViolation("variant requires a trained change-point stage")
-    return propose_segments(reconstruction_errors(models.autoencoder, x), models.threshold,
-                            models.cpd_cfg, len(x))
+def build_task3_inputs(task2: SequenceClassifier, std: Standardizer, x: np.ndarray,
+                       segments: list[Segment], mask: np.ndarray, chunk_len: int) -> np.ndarray:
+    """Task 2 over a raw (T, 3) series and its task-1 proposal -> task 3's
+    per-step inputs X_std | O_t1 | O_t2, (T, 5)."""
+    if len(mask) != len(x):
+        raise ShapeMismatchError(f"task 1 mask of {len(mask)} steps for {len(x)} steps")
+    x_std = std.apply(x)
+    return np.column_stack([x_std, mask, task2_score(task2, x_std, segments, chunk_len)])
+
+
+def task3_predict(task3: SequenceClassifier, inputs: np.ndarray,
+                  chunk_len: int) -> CascadePrediction:
+    """Task 3 over its (T, 5) inputs -> per-step probabilities and classes."""
+    probs = task3.infer_series(inputs, chunk_len)
+    classes = predict_classes(probs)
+    return CascadePrediction(classes=classes, anomaly=classes != NO_FAULT, probs=probs)
 
 
 def smtcnn_infer(series, models: SmtcnnModels) -> CascadePrediction:
     """Tasks 1 -> 2 -> 3 in pipeline order."""
     x = as_features(series)
-    segments, mask = propose_for_variant(models, x)
-    x_std = models.std.apply(x)
-    o_t2 = task2_score(models.task2, x_std, segments, models.chunk_len)
-    inputs = build_task3_inputs(x_std, mask, o_t2)
-    probs = models.task3.infer_series(inputs, models.chunk_len)
-    classes = predict_classes(probs)
-    return CascadePrediction(classes=classes, anomaly=classes != NO_FAULT, probs=probs)
+    errors = None if models.autoencoder is None else reconstruction_errors(models.autoencoder, x)
+    segments, mask = task1_proposal(models.variant, len(x), errors, models.threshold,
+                                    models.cpd_cfg)
+    inputs = build_task3_inputs(models.task2, models.std, x, segments, mask, models.chunk_len)
+    return task3_predict(models.task3, inputs, models.chunk_len)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -442,7 +459,8 @@ def load_models(model_dir) -> SmtcnnModels:
                                  stride=int(m.meta["seg_stride"]))
         std = Standardizer(m.arrays["std_mu"], m.arrays["std_sd"])
         std.validate(N_CHANNELS)
-        return m.meta["variant"], int(m.meta["chunk_len"]), seg_cfg, std
+        variant = m.meta["variant"]
+        return variant, variant_stages(variant), int(m.meta["chunk_len"]), seg_cfg, std
 
     def parse_cpd(ckpt: Checkpoint):
         auto = LstmAutoencoder.from_checkpoint(ckpt)
@@ -452,14 +470,12 @@ def load_models(model_dir) -> SmtcnnModels:
                             min_len=int(ckpt.meta["min_len"]))
         return auto, threshold, cpd_cfg
 
-    variant, chunk_len, seg_cfg, std = load("manifest", "smtcnn_manifest", parse_manifest)
-    auto = threshold = None
+    variant, use, chunk_len, seg_cfg, std = load("manifest", "smtcnn_manifest", parse_manifest)
+    auto = threshold = seg_model = None
     cpd_cfg = CpdConfig()
-    if variant != "b2_no_cpd":
+    if use.cpd:
         auto, threshold, cpd_cfg = load("cpd", "lstm_autoencoder", parse_cpd)
-
-    seg_model = None
-    if variant != "b3_no_segclass" and (d / "segclass.json").exists():
+    if use.segclass and (d / "segclass.json").exists():
         seg_model = load("segclass", None, seg_from_checkpoint)
 
     return SmtcnnModels(

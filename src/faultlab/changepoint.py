@@ -122,11 +122,6 @@ class LstmAutoencoder:
         caches = (enc_caches, dec_cache, hd) if want_cache else None
         return recon, caches
 
-    def reconstruct(self, windows: np.ndarray) -> np.ndarray:
-        """Raw windows in, reconstruction in standardized space out."""
-        recon, _ = self._forward(self.std.apply(windows), want_cache=False)
-        return recon
-
     def loss(self, batch: np.ndarray) -> float:
         recon, _ = self._forward(batch, want_cache=False)
         value, _ = mse_loss(recon, batch)

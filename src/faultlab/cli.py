@@ -65,13 +65,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train_cpd(args) -> int:
     from .cascade import cpd_to_checkpoint
-    from .changepoint import compute_threshold, reconstruction_errors, train_autoencoder
+    from .experiment import train_cpd_stage
     from .nncore import save_checkpoint
 
     cfg = _load_cfg(args)
-    normal = read_csv(args.normal)
-    auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
-    threshold = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
+    auto, threshold = train_cpd_stage(read_csv(args.normal), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(cpd_to_checkpoint(auto, threshold, cfg.cpd), out / "cpd.json")
@@ -80,19 +78,18 @@ def cmd_train_cpd(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
+    from .experiment import train_seg_stage
     from .nncore import save_checkpoint
-    from .segclass import to_checkpoint, train_classifier, windowize
+    from .segclass import to_checkpoint
 
     cfg = _load_cfg(args)
     if args.kind is not None:
         cfg.seg.kind = args.kind
-    anomaly = read_csv(args.anomaly)
-    rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
-    model = train_classifier(cfg.seg.kind, rows, cfg.seg, seed=cfg.stage_seed("segclass"))
+    model, n_windows = train_seg_stage(read_csv(args.anomaly), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(to_checkpoint(model), out / "segclass.json")
-    print(f"wrote {out / 'segclass.json'}: kind={cfg.seg.kind} windows={len(rows)}")
+    print(f"wrote {out / 'segclass.json'}: kind={cfg.seg.kind} windows={n_windows}")
     return 0
 
 

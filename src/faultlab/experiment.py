@@ -1,17 +1,19 @@
 """Sequential cross-validation of the cascade and its two ablations.
 
 The change-point detector and the segment classifier are trained once, on the
-dedicated normal-only / anomaly-only datasets; they do not depend on the mixed
-stream, so retraining them per fold would only burn time without changing the
-comparison. The task networks are retrained per fold on the fold's training
-block. Window reconstruction errors over the whole mixed stream are cached so
-each fold's change-point pass is a slice, not a fresh inference run.
+dedicated normal-only / anomaly-only datasets, by `train_cpd_stage` and
+`train_seg_stage` (`faultlab train-cpd` and `train-seg` call them too). They
+do not depend on the mixed stream, so retraining them per fold would only burn
+time without changing the comparison. Window reconstruction errors over the
+whole mixed stream are cached so each block's task 1 is a slice, not a fresh
+inference run.
 
-Variants share fold plumbing: full and b3_no_segclass use identical proposals
-and Task 2 models (they differ only in the Task 3 warm start), and all task
-networks of one fold start from the same seeded initial weights. The CV folds
-and the whole-stream models of `train_whole` train their task networks
-through the one `train_task_nets`.
+`train_task_nets` trains a variant's task networks on one block of the mixed
+stream into its `SmtcnnModels`: the whole stream for `train_whole`, a fold's
+training block for the CV, whose test block then runs the cascade path that
+`smtcnn_infer` runs. full and b3_no_segclass share proposals, so within a fold
+they share one task-2 model and one set of test-block task-3 inputs; all task
+networks of one fold start from the same seeded initial weights.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ import numpy as np
 
 from .cascade import (
     VARIANTS,
-    SequenceClassifier,
     SmtcnnModels,
     Standardizer,
     build_task3_inputs,
-    no_cpd_proposal,
-    predict_classes,
-    task2_score,
+    task1_proposal,
+    task3_predict,
     train_task2,
     train_task3,
+    variant_stages,
     warm_start_bias,
 )
 from .changepoint import (
@@ -40,7 +41,6 @@ from .changepoint import (
     Segment,
     ThresholdSpec,
     compute_threshold,
-    propose_segments,
     reconstruction_errors,
     train_autoencoder,
 )
@@ -69,13 +69,28 @@ class ExperimentAssets:
     mixed_errors: np.ndarray | None  # window reconstruction errors over the mixed stream
 
 
+def train_cpd_stage(normal: TimeSeriesDataset, cfg: RunConfig,
+                    ) -> tuple[LstmAutoencoder, ThresholdSpec]:
+    """The change-point stage: the autoencoder, and the threshold from its
+    errors on the normal data it trained on."""
+    auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
+    return auto, compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
+
+
+def train_seg_stage(anomaly: TimeSeriesDataset, cfg: RunConfig) -> tuple[ClassifierModel, int]:
+    """The segment classifier over the anomaly-only windows, and their count."""
+    rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
+    model = train_classifier(cfg.seg.kind, rows, cfg.seg, seed=cfg.stage_seed("segclass"))
+    return model, len(rows)
+
+
 def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None = None,
                  variants: tuple[str, ...] = VARIANTS) -> ExperimentAssets:
     """Datasets and the shared models that the given variants use.
 
-    b2_no_cpd alone needs no autoencoder, and b3_no_segclass alone no
-    segment classifier; a stage no variant uses stays None. Stage seeds are
-    derived by name, so a model comes out the same whichever others are built.
+    A stage no variant uses (see `cascade.VARIANT_STAGES`) stays None. Stage
+    seeds are derived by name, so a model comes out the same whichever others
+    are built.
     """
     if datasets is None:
         datasets = {r: generate_dataset(r, cfg.sim)
@@ -87,115 +102,98 @@ def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None =
                     f"expected a {want} dataset, got {datasets[want].regime}")
     normal, anomaly, mixed = (datasets["normal_only"], datasets["anomaly_only"],
                               datasets["mixed"])
+    uses = [variant_stages(v) for v in variants]
     auto = threshold = mixed_errors = seg_model = None
-    if any(v != "b2_no_cpd" for v in variants):
-        auto = train_autoencoder(normal, cfg.cpd, seed=cfg.stage_seed("cpd"))
-        threshold = compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
+    if any(u.cpd for u in uses):
+        auto, threshold = train_cpd_stage(normal, cfg)
         mixed_errors = reconstruction_errors(auto, mixed)
-    if any(v != "b3_no_segclass" for v in variants):
-        rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
-        seg_model = train_classifier(cfg.seg.kind, rows, cfg.seg,
-                                     seed=cfg.stage_seed("segclass"))
+    if any(u.segclass for u in uses):
+        seg_model, _ = train_seg_stage(anomaly, cfg)
     return ExperimentAssets(cfg, normal, anomaly, mixed, auto, threshold, seg_model,
                             mixed_errors)
 
 
-def block_proposals(assets: ExperimentAssets, start: int, length: int, use_cpd: bool,
+def block_proposals(assets: ExperimentAssets, start: int, length: int, variant: str,
                     ) -> tuple[list[Segment], np.ndarray]:
-    """Task 1 segments for mixed[start:start+length] via cached errors.
+    """Task 1 of `variant` for mixed[start:start+length] via cached errors.
 
-    Without the change-point stage (b2_no_cpd) the whole block is one
-    segment. A window fully inside the block has the same reconstruction error as the
+    A window fully inside the block has the same reconstruction error as the
     corresponding global window, so the block's errors are a slice.
     """
-    if not use_cpd:
-        return no_cpd_proposal(length)
-    w = assets.cfg.cpd.window
-    n_win = length - w + 1
-    if n_win <= 0:
-        raise InvariantViolation(f"block of {length} steps shorter than window {w}")
-    return propose_segments(assets.mixed_errors[start:start + n_win], assets.threshold,
-                            assets.cfg.cpd, length)
+    errors = None
+    if assets.mixed_errors is not None:
+        n_win = length - assets.cfg.cpd.window + 1
+        if n_win <= 0:
+            raise InvariantViolation(
+                f"block of {length} steps shorter than window {assets.cfg.cpd.window}")
+        errors = assets.mixed_errors[start:start + n_win]
+    return task1_proposal(variant, length, errors, assets.threshold, assets.cfg.cpd)
 
 
-@dataclass
-class Task2Stage:
-    """Task 1 and task 2 products on one training block for one mask choice."""
-
-    train_ds: TimeSeriesDataset
-    std: Standardizer
-    segments: list[Segment]
-    mask: np.ndarray
-    task2: SequenceClassifier
-    o_t2: np.ndarray
+def block_inputs(assets: ExperimentAssets, models: SmtcnnModels, start: int,
+                 length: int) -> np.ndarray:
+    """Task 3's inputs for mixed[start:start+length] under `models`."""
+    segments, mask = block_proposals(assets, start, length, models.variant)
+    x = assets.mixed.features()[start:start + length]
+    return build_task3_inputs(models.task2, models.std, x, segments, mask, models.chunk_len)
 
 
 def train_task_nets(assets: ExperimentAssets, start: int, length: int, variant: str,
-                    tag: str, stages: dict) -> tuple[Task2Stage, SequenceClassifier]:
+                    tag: str, cache: dict) -> SmtcnnModels:
     """Train task 2 and task 3 of `variant` on mixed[start:start+length].
 
     `tag` is "" for the whole stream and ":fold<i>" for a CV fold; it names
-    the stage seeds "task2<tag>" and "task3<tag>". `stages` caches the task-2
-    stage per mask choice, so variants with the same proposals (full and
-    b3_no_segclass) train task 2 once.
+    the stage seeds "task2<tag>" and "task3<tag>". `cache` holds the block's
+    standardizer, task-2 model, segments and task-3 inputs per proposal
+    choice, so variants with the same proposals (full and b3_no_segclass)
+    train task 2 once.
     """
     cfg = assets.cfg
-    use_cpd = variant != "b2_no_cpd"
-    if ((use_cpd and assets.autoencoder is None)
-            or (variant != "b3_no_segclass" and assets.seg_model is None)):
+    use = variant_stages(variant)
+    if (use.cpd and assets.autoencoder is None) or (use.segclass and assets.seg_model is None):
         raise InvariantViolation(f"the assets lack a stage that variant {variant} uses")
-    if use_cpd not in stages:
-        train_ds = assets.mixed.slice(start, start + length)
-        x = train_ds.features()
+    block = assets.mixed.slice(start, start + length)
+    x, chunk_len = block.features(), cfg.task3.chunk_len
+    if use.cpd not in cache:
         std = Standardizer.fit(x)
-        segs, mask = block_proposals(assets, start, length, use_cpd)
-        task2 = train_task2(train_ds, mask, cfg.task2, std,
-                            seed=cfg.stage_seed("task2" + tag))
-        stages[use_cpd] = Task2Stage(train_ds, std, segs, mask, task2,
-                                     task2_score(task2, std.apply(x), segs, cfg.task2.chunk_len))
-    st = stages[use_cpd]
-    bias = None
-    if variant != "b3_no_segclass":
-        bias = warm_start_bias(assets.seg_model, st.train_ds.features(), st.segments, cfg.seg)
-    task3 = train_task3(st.train_ds, st.mask, st.o_t2, cfg.task3, st.std,
+        segments, mask = block_proposals(assets, start, length, variant)
+        task2 = train_task2(block, mask, cfg.task2, std, seed=cfg.stage_seed("task2" + tag))
+        cache[use.cpd] = (std, task2, segments,
+                          build_task3_inputs(task2, std, x, segments, mask, chunk_len))
+    std, task2, segments, inputs = cache[use.cpd]
+    bias = warm_start_bias(assets.seg_model, x, segments, cfg.seg) if use.segclass else None
+    task3 = train_task3(inputs, block.fault_class, cfg.task3,
                         seed=cfg.stage_seed("task3" + tag), init_bias=bias)
-    return st, task3
+    return SmtcnnModels(
+        variant=variant,
+        autoencoder=assets.autoencoder if use.cpd else None,
+        threshold=assets.threshold if use.cpd else None,
+        seg_model=assets.seg_model if use.segclass else None,
+        task2=task2, task3=task3, std=std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
+        chunk_len=chunk_len,
+    )
 
 
 def _run_fold(assets: ExperimentAssets, fold, fold_idx: int, variant: str,
-              stages: dict, test_inputs: dict) -> dict[str, float]:
+              cache: dict, test_inputs: dict) -> dict[str, float]:
     """Train on the fold's train block, score its test block.
 
-    `stages` and `test_inputs` are per-fold caches keyed by the mask choice.
+    `cache` and `test_inputs` are per-fold caches keyed by the proposal
+    choice.
     """
-    cfg = assets.cfg
-    use_cpd = variant != "b2_no_cpd"
-    st, task3 = train_task_nets(assets, fold.train_start, fold.train_len, variant,
-                                f":fold{fold_idx}", stages)
-    if use_cpd not in test_inputs:
-        x_te = st.std.apply(
-            assets.mixed.features()[fold.test_start:fold.test_start + fold.test_len])
-        segs_te, mask_te = block_proposals(assets, fold.test_start, fold.test_len, use_cpd)
-        o2_te = task2_score(st.task2, x_te, segs_te, cfg.task2.chunk_len)
-        test_inputs[use_cpd] = build_task3_inputs(x_te, mask_te, o2_te)
-    preds = predict_classes(task3.infer_series(test_inputs[use_cpd], cfg.task3.chunk_len))
+    models = train_task_nets(assets, fold.train_start, fold.train_len, variant,
+                             f":fold{fold_idx}", cache)
+    key = variant_stages(variant).cpd
+    if key not in test_inputs:
+        test_inputs[key] = block_inputs(assets, models, fold.test_start, fold.test_len)
+    pred = task3_predict(models.task3, test_inputs[key], models.chunk_len)
     truth = assets.mixed.fault_class[fold.test_start:fold.test_start + fold.test_len]
-    return metrics(confusion(preds, truth, classes=ALL_CLASSES))
+    return metrics(confusion(pred.classes, truth, classes=ALL_CLASSES))
 
 
 def train_whole(assets: ExperimentAssets, variant: str) -> SmtcnnModels:
-    """Final deployable models for one variant, reusing the shared stages."""
-    cfg = assets.cfg
-    st, task3 = train_task_nets(assets, 0, len(assets.mixed), variant, "", {})
-    use_cpd = variant != "b2_no_cpd"
-    return SmtcnnModels(
-        variant=variant,
-        autoencoder=assets.autoencoder if use_cpd else None,
-        threshold=assets.threshold if use_cpd else None,
-        seg_model=assets.seg_model if variant != "b3_no_segclass" else None,
-        task2=st.task2, task3=task3, std=st.std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
-        chunk_len=cfg.task3.chunk_len,
-    )
+    """Final deployable models for one variant, trained on the whole mixed stream."""
+    return train_task_nets(assets, 0, len(assets.mixed), variant, "", {})
 
 
 def default_plan(assets: ExperimentAssets) -> SeqCvPlan:
@@ -213,17 +211,16 @@ def run_all_variants(assets: ExperimentAssets, plan: SeqCvPlan | None = None,
 def run_variants(assets: ExperimentAssets, variants: tuple[str, ...],
                  plan: SeqCvPlan | None = None) -> list[EvalReport]:
     for v in variants:
-        if v not in VARIANTS:
-            raise InvariantViolation(f"unknown variant {v!r}")
+        variant_stages(v)
     if plan is None:
         plan = default_plan(assets)
     reports = {v: EvalReport(label=v) for v in variants}
     for idx, fold in enumerate(plan.folds):
-        stages: dict = {}
+        cache: dict = {}
         test_inputs: dict = {}
         for v in variants:
             try:
-                reports[v].add_fold(_run_fold(assets, fold, idx, v, stages, test_inputs))
+                reports[v].add_fold(_run_fold(assets, fold, idx, v, cache, test_inputs))
             except FaultlabError as exc:
                 warnings.warn(f"fold {idx} failed for {v}: {exc}", stacklevel=2)
                 reports[v].skipped_folds.append(idx)

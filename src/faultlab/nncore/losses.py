@@ -59,9 +59,9 @@ def sequence_cross_entropy(
 ) -> tuple[float, np.ndarray]:
     """Cross entropy summed over time and classes, averaged over sequences only.
 
-    probs: (N, T, C) softmax outputs. targets: either (N, T, C) one-hot
-    (all-zero rows = padding) or (N, T) integer labels, 1-based with 0 =
-    padding. Probabilities are floored at 1e-12 inside the log.
+    probs: (N, T, C) softmax outputs. targets: (N, T) integer labels,
+    1-based with 0 = padding. Probabilities are floored at 1e-12 inside the
+    log.
 
     Returns (loss, dlogits) where dlogits is the gradient w.r.t. the
     pre-softmax logits, shape (N, T, C). Taking the gradient at the logits
@@ -74,15 +74,7 @@ def sequence_cross_entropy(
     n, nt, nc = probs.shape
     if n == 0:
         raise ShapeMismatchError("empty batch")
-    targets = np.asarray(targets)
-    if targets.ndim == 2:
-        y = one_hot_sequences(targets, nc, length=nt)
-    elif targets.shape == probs.shape:
-        y = np.asarray(targets, dtype=float)
-    else:
-        raise ShapeMismatchError(
-            f"targets shape {targets.shape} incompatible with probs {probs.shape}"
-        )
+    y = one_hot_sequences(targets, nc, length=nt)
 
     safe = np.maximum(probs, PROB_FLOOR)
     loss = float(-np.sum(y * np.log(safe)) / n)

@@ -309,6 +309,8 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
         attempts += 1
         length = int(rng.integers(lo, hi + 1))
         start = int(rng.integers(0, max(1, n - length)))
+        if start + length > n:  # a fault longer than the series
+            continue
         # Keep one normal step of clearance so adjacent faults never merge.
         guard_lo = max(0, start - 1)
         guard_hi = min(n, start + length + 1)

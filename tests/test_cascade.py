@@ -13,15 +13,15 @@ from faultlab.cascade import (
     chunk_series,
     load_models,
     predict_classes,
-    propose_for_variant,
     save_models,
     smtcnn_infer,
     task2_labels,
+    task1_proposal,
     task2_score,
     train_task2,
     warm_start_bias,
 )
-from faultlab.changepoint import Segment
+from faultlab.changepoint import Segment, ThresholdSpec, propose_segments
 from faultlab.config import CpdConfig, SegclassConfig, TaskNetConfig
 from faultlab.errors import (
     ConfigError,
@@ -146,16 +146,20 @@ def test_warm_start_bias_skips_short_segments():
 
 
 def test_build_task3_inputs_column_order():
-    x = np.ones((4, 3)) * 7.0
-    o1 = np.array([0.0, 1.0, 1.0, 0.0])
-    o2 = np.array([0.0, 0.25, 0.5, 0.0])
-    inp = build_task3_inputs(x, o1, o2)
-    assert inp.shape == (4, 5)
-    assert np.array_equal(inp[:, :3], x)
+    models = tiny_models()
+    models.std = Standardizer(np.full(3, 7.0), np.full(3, 2.0))
+    x = np.random.default_rng(5).normal(size=(12, 3))
+    segments = [Segment(1, 3)]
+    o1 = np.zeros(12)
+    o1[1:3] = 1.0
+    inp = build_task3_inputs(models.task2, models.std, x, segments, o1, chunk_len=8)
+    x_std = (x - 7.0) / 2.0
+    assert inp.shape == (12, 5)
+    assert np.array_equal(inp[:, :3], x_std)
     assert np.array_equal(inp[:, 3], o1)
-    assert np.array_equal(inp[:, 4], o2)
+    assert np.array_equal(inp[:, 4], task2_score(models.task2, x_std, segments, chunk_len=8))
     with pytest.raises(ShapeMismatchError):
-        build_task3_inputs(x, o1[:3], o2)
+        build_task3_inputs(models.task2, models.std, x, segments, o1[:11], chunk_len=8)
 
 
 def test_predict_classes_tie_goes_to_no_fault():
@@ -232,17 +236,31 @@ def test_models_variant_validated():
         tiny_models(variant="b9_mystery")
 
 
-def test_propose_for_variant():
-    models = tiny_models(variant="b2_no_cpd")
-    x = np.zeros((30, 3))
-    segments, mask = propose_for_variant(models, x)
+def test_task1_proposal_without_cpd_is_one_whole_series_segment():
+    segments, mask = task1_proposal("b2_no_cpd", 30, None, None, CpdConfig())
     assert segments == [Segment(0, 30)]
     assert mask.tolist() == [1.0] * 30
 
-    broken = tiny_models(variant="full")
+
+@pytest.mark.parametrize("variant", ["full", "b3_no_segclass"])
+def test_task1_proposal_with_cpd_needs_errors_and_threshold(variant):
+    cfg = CpdConfig(window=4, min_gap=2, min_len=1)
+    threshold = ThresholdSpec(mu=0.5, sigma=0.1, k=3.0, tau=0.8)
+    errors = np.zeros(27)
+    errors[5:9] = 1.0
+    segments, mask = task1_proposal(variant, 30, errors, threshold, cfg)
+    want_segments, want_mask = propose_segments(errors, threshold, cfg, 30)
+    assert segments == want_segments and mask.tolist() == want_mask.tolist()
+    assert mask.sum() > 0
+    with pytest.raises(InvariantViolation, match=variant):
+        task1_proposal(variant, 30, None, threshold, cfg)
+    with pytest.raises(InvariantViolation, match=variant):
+        task1_proposal(variant, 30, errors, None, cfg)
+
+    broken = tiny_models(variant=variant)
     broken.autoencoder = None
-    with pytest.raises(InvariantViolation):
-        propose_for_variant(broken, x)
+    with pytest.raises(InvariantViolation, match=variant):
+        smtcnn_infer(np.zeros((30, 3)), broken)
 
 
 def test_smtcnn_infer_consistency():

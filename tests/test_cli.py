@@ -66,6 +66,18 @@ def test_gen_rate_flag(tmp_path):
     assert 0.01 < ds.anomaly.mean() < 0.10
 
 
+def test_gen_short_mixed_streams(tmp_path, capsys):
+    # a fault window drawn longer than the series is redrawn, not injected
+    out = tmp_path / "mixed.csv"
+    for n in range(17, 61):
+        for seed in range(4):
+            assert run("gen", "--regime", "mixed", "--out", str(out), "--len", str(n),
+                       "--seed", str(seed)) == 0, (n, seed)
+            ds = read_csv(out)  # read_csv checks every row invariant
+            assert len(ds) == n
+    capsys.readouterr()
+
+
 # --- seed resolution --------------------------------------------------------------
 
 
@@ -195,6 +207,8 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
 
 @pytest.mark.parametrize("file,keys,value", [
     ("manifest", ("meta", "chunk_len"), "x"),
+    ("manifest", ("meta", "variant"), "b9_mystery"),
+    ("manifest", ("meta", "variant"), ["full"]),
     ("cpd", ("meta", "threshold", "mu"), "x"),
     ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
     ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [4], "data": [0.0] * 4}),
@@ -211,7 +225,7 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
     ("segclass", ("arrays", "classes"), {"dtype": "i8", "shape": [4], "data": [2, 5, 9, 11]}),
     ("segclass", ("meta", "n_trees"), 0),
     ("segclass", ("meta", "kind"), "xgboost"),
-], ids=["chunk_len-str", "threshold_mu-str", "l1_wh-2x2", "l1_wh-1d", "head_w-2x2",
+], ids=["chunk_len-str", "variant-unknown", "variant-list", "threshold_mu-str", "l1_wh-2x2", "l1_wh-1d", "head_w-2x2",
         "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero", "tree_left-outside", "tree_left-loop",
         "tree_right-missing", "tree_feat-16th", "tree_thr-on-leaf", "tree_left-float",
         "tree_dist-width", "n_trees-zero", "seg_kind-unknown"])
@@ -343,7 +357,7 @@ def _train_smtcnn_args(tmp_path, cfg_path) -> list[str]:
 
 
 def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
-    """train-smtcnn and pipeline train a variant through the same code path."""
+    """train-smtcnn, train-cpd, train-seg and pipeline train through the same code."""
     cfg_path = _tiny_run_config(tmp_path)
     assert run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 0
     inputs = _train_smtcnn_args(tmp_path, cfg_path)
@@ -352,6 +366,14 @@ def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
         extra = ("--ablation", ablation) if ablation else ()
         assert run("train-smtcnn", *inputs, "--out", str(out), *extra) == 0
         assert _file_bytes(out) == _file_bytes(tmp_path / "run" / "models" / variant)
+    stages = tmp_path / "stages"
+    assert run("train-cpd", "--normal", str(tmp_path / "normal.csv"), "--out", str(stages),
+               "--config", str(cfg_path)) == 0
+    assert run("train-seg", "--anomaly", str(tmp_path / "anomaly.csv"), "--out", str(stages),
+               "--config", str(cfg_path)) == 0
+    for name in ("cpd.json", "segclass.json"):
+        assert (stages / name).read_bytes() == \
+            (tmp_path / "run" / "models" / "full" / name).read_bytes()
     capsys.readouterr()
 
 

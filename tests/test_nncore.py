@@ -320,6 +320,8 @@ def test_cross_entropy_shape_errors():
         sequence_cross_entropy(np.full((2, 2), 0.5), np.array([[1, 1]]))
     with pytest.raises(ShapeMismatchError):
         sequence_cross_entropy(np.full((1, 2, 2), 0.5), np.array([[1, 1, 1]]))
+    with pytest.raises(ShapeMismatchError):  # targets are integer labels, not one-hot rows
+        sequence_cross_entropy(np.full((1, 2, 2), 0.5), np.eye(2)[None])
 
 
 # --- optimizer ----------------------------------------------------------------
