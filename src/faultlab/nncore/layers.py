@@ -10,15 +10,27 @@ LSTM gate layout: the 4H rows of ``w_input``/``w_hidden`` (and entries of
 Gates use the logistic sigmoid, the candidate uses tanh.
 
 The batched LSTM keeps the per-step floating-point work fixed: every step
-runs the same GEMMs and elementwise operations, in the same order, whatever
-the call needs around them. Only the work a call does not need is left out:
+runs the same products and sums, in the same order, whatever the call needs
+around them. What it changes is only how the work is laid out and what is
+left out:
 
+- The parameters, their gradients and the checkpoints stay in [i|f|g|o]
+  order, but the forward pass computes the pre-activations in [i|f|o|g]
+  order, through row-permuted copies of the weights made once per call. The
+  three sigmoid gates are then one contiguous block and take one ``sigmoid``
+  call per step; permuting a product's output columns leaves its bits alone.
+  The backward pass keeps the gate gradients in [i|f|g|o] order.
+- A one-wide input (D=1) is projected as the broadcast product
+  ``x[:, t] * w``. It is rounded once, like the (B, 1) @ (1, 4H) matrix
+  product it replaces; the two can differ only in the sign of a zero, which
+  adding ``h W_h^T`` (never -0) removes.
 - An input that is constant over time, passed as a zero-stride view such as
   ``np.broadcast_to(z[:, None, :], (B, T, D))``, is projected once per call
-  instead of once per step; it is the same (B, D) @ (D, 4H) product on the
-  same rows.
+  instead of once per step; it is the same product on the same rows.
 - Without ``want_cache`` the forward pass keeps no per-step gates or cell
-  states, only the hidden outputs it returns.
+  states, only the hidden outputs it returns. The cache it keeps otherwise
+  is time-major, (T, B, H), so every step writes and the backward pass
+  reads contiguous (B, H) blocks.
 - The backward pass takes no per-step gradient when only the final state
   feeds downstream (``dh_seq=None``), and computes no input gradient when
   nothing reads it (``want_dx=False``).
@@ -38,9 +50,11 @@ ACTIVATIONS = ("identity", "softmax")
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
     # exp never overflows. min(x, -x) is -|x| that also keeps a NaN's sign.
+    # The numerator max(x >= 0, e) is 1 or e, as 0 <= e <= 1.
     e = np.negative(x, out=np.empty_like(x))
     np.exp(np.minimum(x, e, out=e), out=e)
-    num = np.where(x >= 0, 1.0, e)
+    num = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(num, e, out=num)
     e += 1.0
     return np.divide(num, e, out=num)
 
@@ -161,18 +175,23 @@ class DenseParams:
 
 @dataclass
 class LstmCache:
-    """Forward-pass intermediates needed by lstm_backward_batch."""
+    """Forward-pass intermediates needed by lstm_backward_batch.
 
-    x: np.ndarray        # (B, T, D)
-    gate_i: np.ndarray   # (B, T, H)
-    gate_f: np.ndarray
-    gate_g: np.ndarray
-    gate_o: np.ndarray
-    c: np.ndarray        # cell states after each step
-    tanh_c: np.ndarray
-    h: np.ndarray        # hidden outputs
+    The per-step arrays are time-major, so step t is one contiguous (B, H)
+    block; only the hidden outputs keep the (B, T, H) layout the forward pass
+    returns.
+    """
+
+    x: np.ndarray        # (B, T, D) input
+    gate_i: np.ndarray   # (T, B, H) input gate
+    gate_f: np.ndarray   # (T, B, H) forget gate
+    gate_g: np.ndarray   # (T, B, H) candidate
+    gate_o: np.ndarray   # (T, B, H) output gate
+    c: np.ndarray        # (T, B, H) cell state after each step
+    tanh_c: np.ndarray   # (T, B, H) tanh of c
+    h: np.ndarray        # (B, T, H) hidden outputs
     h0: np.ndarray       # (B, H)
-    c0: np.ndarray
+    c0: np.ndarray       # (B, H)
     params: LstmCellParams
 
 
@@ -211,31 +230,36 @@ def lstm_forward_batch(
     if h_prev.shape != (nb, nh) or c_prev.shape != (nb, nh):
         raise ShapeMismatchError("initial state shape mismatch")
 
-    wx_t = p.w_input.T   # (D, 4H)
-    wh_t = p.w_hidden.T  # (H, 4H)
-    x_proj = x[:, 0] @ wx_t if x.strides[1] == 0 else None
+    # Weights permuted to [i|f|o|g] rows; .T keeps the layout of p.w_*.T.
+    order = np.r_[0:2 * nh, 3 * nh:4 * nh, 2 * nh:3 * nh]
+    wx_t = p.w_input[order].T   # (D, 4H)
+    wh_t = p.w_hidden[order].T  # (H, 4H)
+    bias = p.bias[order]
+
+    def project(xt):
+        return xt * wx_t if nd == 1 else xt @ wx_t
+
+    x_proj = project(x[:, 0]) if x.strides[1] == 0 else None
     hs = np.empty((nb, nt, nh))
     if want_cache:
-        gi, gf, gg, go, cs, tcs = (np.empty((nb, nt, nh)) for _ in range(6))
+        gi, gf, gg, go, cs, tcs = (np.empty((nt, nb, nh)) for _ in range(6))
     h0_saved, c0_saved = h_prev, c_prev
 
     for t in range(nt):
         # (x W_x^T + h W_h^T) + b and f c + i g, summed in place; the sums
         # commute, so the bits are those of the textbook expressions.
         a = h_prev @ wh_t
-        a += x[:, t] @ wx_t if x_proj is None else x_proj
-        a += p.bias
-        i_f = sigmoid(a[:, :2 * nh])
-        i, f = i_f[:, :nh], i_f[:, nh:]
-        g = np.tanh(a[:, 2 * nh:3 * nh])
-        o = sigmoid(a[:, 3 * nh:])
-        c = f * c_prev
+        a += project(x[:, t]) if x_proj is None else x_proj
+        a += bias
+        ifo = sigmoid(a[:, :3 * nh])
+        i, f, o = ifo[:, :nh], ifo[:, nh:2 * nh], ifo[:, 2 * nh:]
+        g = np.tanh(a[:, 3 * nh:], out=gg[t] if want_cache else a[:, 3 * nh:])
+        c = np.multiply(f, c_prev, out=cs[t] if want_cache else None)
         c += i * g
-        tc = np.tanh(c)
+        tc = np.tanh(c, out=tcs[t] if want_cache else None)
         h_prev = np.multiply(o, tc, out=hs[:, t])
         if want_cache:
-            gi[:, t], gf[:, t], gg[:, t], go[:, t] = i, f, g, o
-            cs[:, t], tcs[:, t] = c, tc
+            gi[t], gf[t], go[t] = i, f, o
         c_prev = c
 
     cache = None
@@ -263,6 +287,9 @@ def lstm_backward_batch(
     nh = p.hidden_size
     if dh_seq is not None and dh_seq.shape != cache.h.shape:
         raise ShapeMismatchError("dh_seq shape mismatch")
+    for name, d in (("dh_last", dh_last), ("dc_last", dc_last)):
+        if d is not None and d.shape != (nb, nh):
+            raise ShapeMismatchError(f"{name} shape {d.shape}, expected ({nb}, {nh})")
 
     d_wx = np.zeros_like(p.w_input)
     d_wh = np.zeros_like(p.w_hidden)
@@ -273,9 +300,9 @@ def lstm_backward_batch(
     dc_carry = np.zeros((nb, nh)) if dc_last is None else dc_last.copy()
 
     for t in range(nt - 1, -1, -1):
-        i, f, g, o = cache.gate_i[:, t], cache.gate_f[:, t], cache.gate_g[:, t], cache.gate_o[:, t]
-        tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
+        i, f, g, o = cache.gate_i[t], cache.gate_f[t], cache.gate_g[t], cache.gate_o[t]
+        tc = cache.tanh_c[t]
+        c_prev = cache.c[t - 1] if t > 0 else cache.c0
         h_prev = cache.h[:, t - 1] if t > 0 else cache.h0
 
         dh = dh_carry if dh_seq is None else dh_seq[:, t] + dh_carry

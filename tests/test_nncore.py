@@ -181,23 +181,24 @@ def test_lstm_gradcheck_small():
 @pytest.mark.parametrize("nb", [1, 5])
 def test_lstm_forward_without_cache_and_with_constant_input(nb):
     rng = np.random.default_rng(21)
-    p = LstmCellParams.init(rng, 3, 4)
-    p.bias[:] = rng.normal(size=16)
-    x = rng.normal(size=(nb, 6, 3))
-    hs_cached, cache = lstm_forward_batch(x, p, want_cache=True)
-    hs_plain, none = lstm_forward_batch(x, p)
-    assert none is None
-    assert np.array_equal(hs_cached, hs_plain)
-    assert np.array_equal(cache.h, hs_plain)
+    for nd in (1, 3):  # D=1 takes the broadcast-product projection
+        p = LstmCellParams.init(rng, nd, 4)
+        p.bias[:] = rng.normal(size=16)
+        x = rng.normal(size=(nb, 6, nd))
+        hs_cached, cache = lstm_forward_batch(x, p, want_cache=True)
+        hs_plain, none = lstm_forward_batch(x, p)
+        assert none is None
+        assert np.array_equal(hs_cached, hs_plain)
+        assert np.array_equal(cache.h, hs_plain)
 
-    z = rng.normal(size=(nb, 3))
-    view = np.broadcast_to(z[:, None, :], (nb, 6, 3))
-    assert view.strides[1] == 0
-    copy = np.repeat(z[:, None, :], 6, axis=1)
-    for want_cache in (False, True):
-        hs_view, _ = lstm_forward_batch(view, p, want_cache=want_cache)
-        hs_copy, _ = lstm_forward_batch(copy, p, want_cache=want_cache)
-        assert np.array_equal(hs_view, hs_copy)
+        z = rng.normal(size=(nb, nd))
+        view = np.broadcast_to(z[:, None, :], (nb, 6, nd))
+        assert view.strides[1] == 0
+        copy = np.repeat(z[:, None, :], 6, axis=1)
+        for want_cache in (False, True):
+            hs_view, _ = lstm_forward_batch(view, p, want_cache=want_cache)
+            hs_copy, _ = lstm_forward_batch(copy, p, want_cache=want_cache)
+            assert np.array_equal(hs_view, hs_copy)
 
 
 def test_lstm_backward_skipped_inputs_keep_weight_grads():
@@ -220,6 +221,101 @@ def test_lstm_backward_skipped_inputs_keep_weight_grads():
     last_only = lstm_backward_batch(cache, dh_last=dh_last, want_dx=False)
     zeros = lstm_backward_batch(cache, np.zeros_like(dh_seq), dh_last=dh_last)
     assert all(np.array_equal(a, b) for a, b in zip(kept(last_only), kept(zeros)))
+
+
+def test_lstm_backward_rejects_final_state_grads_of_the_wrong_shape():
+    rng = np.random.default_rng(23)
+    p = LstmCellParams.init(rng, 2, 3)
+    _, cache = lstm_forward_batch(rng.normal(size=(4, 5, 2)), p, want_cache=True)
+    for bad in (np.ones(3), np.ones((1, 3)), np.ones((4, 1)), np.ones((4, 3, 1)),
+                np.ones((3, 4))):
+        with pytest.raises(ShapeMismatchError, match="dh_last"):
+            lstm_backward_batch(cache, dh_last=bad)
+        with pytest.raises(ShapeMismatchError, match="dc_last"):
+            lstm_backward_batch(cache, dh_last=np.ones((4, 3)), dc_last=bad)
+
+
+def _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last):
+    """The plain batched step loop: [i|f|g|o] gates, two sigmoid calls a step,
+    x W_x^T for every input width, (B, T, H) caches. Returns the hidden
+    outputs and the gradients in LstmGrads order; the bit-level oracle of
+    lstm_forward_batch and lstm_backward_batch."""
+    nb, nt, nd = x.shape
+    nh = p.hidden_size
+    wx_t, wh_t = p.w_input.T, p.w_hidden.T
+    h_prev = np.zeros((nb, nh)) if h0 is None else h0
+    c_prev = np.zeros((nb, nh)) if c0 is None else c0
+    h_start, c_start = h_prev, c_prev
+    hs, gi, gf, gg, go, cs, tcs = (np.empty((nb, nt, nh)) for _ in range(7))
+    for t in range(nt):
+        a = h_prev @ wh_t
+        a += x[:, t] @ wx_t
+        a += p.bias
+        i_f = sigmoid(a[:, :2 * nh])
+        i, f = i_f[:, :nh], i_f[:, nh:]
+        g = np.tanh(a[:, 2 * nh:3 * nh])
+        o = sigmoid(a[:, 3 * nh:])
+        c = f * c_prev
+        c += i * g
+        tc = np.tanh(c)
+        h_prev = np.multiply(o, tc, out=hs[:, t])
+        gi[:, t], gf[:, t], gg[:, t], go[:, t], cs[:, t], tcs[:, t] = i, f, g, o, c, tc
+        c_prev = c
+
+    d_wx, d_wh, d_b = (np.zeros_like(w) for w in (p.w_input, p.w_hidden, p.bias))
+    dx = np.empty((nb, nt, nd))
+    da = np.empty((nb, 4 * nh))
+    dh_carry = np.zeros((nb, nh)) if dh_last is None else dh_last.copy()
+    dc_carry = np.zeros((nb, nh)) if dc_last is None else dc_last.copy()
+    for t in range(nt - 1, -1, -1):
+        i, f, g, o, tc = gi[:, t], gf[:, t], gg[:, t], go[:, t], tcs[:, t]
+        c_prev = cs[:, t - 1] if t > 0 else c_start
+        h_prev = hs[:, t - 1] if t > 0 else h_start
+        dh = dh_carry if dh_seq is None else dh_seq[:, t] + dh_carry
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_carry
+        di, dg, df = dc * g, dc * i, dc * c_prev
+        dc_carry = dc * f
+        np.multiply(di * i, 1.0 - i, out=da[:, :nh])
+        np.multiply(df * f, 1.0 - f, out=da[:, nh:2 * nh])
+        np.multiply(dg, 1.0 - g * g, out=da[:, 2 * nh:3 * nh])
+        np.multiply(do * o, 1.0 - o, out=da[:, 3 * nh:])
+        d_wx += da.T @ x[:, t]
+        d_wh += da.T @ h_prev
+        d_b += da.sum(axis=0)
+        dx[:, t] = da @ p.w_input
+        dh_carry = da @ p.w_hidden
+    return hs, [d_wx, d_wh, d_b, dx, dh_carry, dc_carry]
+
+
+# (D, H, constant input) at the shapes faultlab runs: the autoencoder's
+# per-channel encoders and its decoder, and the task networks' two layers.
+REAL_LSTM_SHAPES = [(1, 16, False), (1, 16, True), (48, 32, True), (5, 32, False),
+                    (3, 32, False), (32, 32, False)]
+
+
+@pytest.mark.parametrize("nd,nh,constant", REAL_LSTM_SHAPES)
+@pytest.mark.parametrize("nb", [1, 9, 10, 256])
+def test_lstm_step_matches_reference_loop_bit_for_bit(nd, nh, constant, nb):
+    rng = np.random.default_rng(1000 * nd + nh + nb)
+    p = LstmCellParams.init(rng, nd, nh)
+    p.bias[:] = rng.normal(size=4 * nh)
+    nt = 7
+    if constant:
+        x = np.broadcast_to(rng.normal(size=(nb, 1, nd)), (nb, nt, nd))
+    else:
+        x = rng.normal(size=(nb, nt, nd))
+    dh_seq = rng.normal(size=(nb, nt, nh))
+    for h0, c0, dh_last, dc_last in (
+            (None, None, None, None),
+            tuple(rng.normal(size=(nb, nh)) for _ in range(4))):
+        want_hs, want_grads = _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last)
+        hs, cache = lstm_forward_batch(x, p, h0, c0, want_cache=True)
+        plain, _ = lstm_forward_batch(x, p, h0, c0)
+        assert hs.tobytes() == want_hs.tobytes() == plain.tobytes()
+        g = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
+        got = [g.w_input, g.w_hidden, g.bias, g.x, g.h0, g.c0]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want_grads]
 
 
 def test_dense_gradcheck_ce_head():
