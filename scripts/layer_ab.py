@@ -17,8 +17,11 @@ slice one step passes it:
 
 Batches are those of the real calls: 256 windows to train the autoencoder and
 4096 to score, 16 chunks to train a task network and 220 in a forward pass.
-BLAS runs one thread. The result, with medians, quartiles, the share of pairs
-the working tree won and machine facts, goes to --out:
+BLAS runs one thread. The ratio of a case is the median, with quartiles, of
+the per-pair ratios work time / rev time: the two samples of a pair run back
+to back, so a drift in the machine's speed between pairs cancels out. The
+result, with each side's median and quartiles, the share of pairs the working
+tree won and machine facts, goes to --out:
 
     python3 scripts/layer_ab.py --rev HEAD --pairs 20 --out BENCH_lstm_step.json
 """
@@ -167,23 +170,25 @@ def main(argv=None) -> int:
         stats = {side: dict(zip(("q1_ms", "median_ms", "q3_ms"),
                                 (round(v * 1e3, 4) for v in quartiles(t))))
                  for side, t in times.items()}
-        wins = sum(w < r for w, r in zip(times["work"], times["rev"]))
-        ratio = stats["work"]["median_ms"] / stats["rev"]["median_ms"]
+        pair_ratios = [w / r for w, r in zip(times["work"], times["rev"])]
+        wins = sum(q < 1.0 for q in pair_ratios)
+        ratio_q = [round(v, 4) for v in quartiles(pair_ratios)]
         results.append({"case": name, "calls_per_sample": calls, **stats,
-                        "ratio_work_over_rev": round(ratio, 4),
+                        "ratio_work_over_rev": ratio_q[1],
+                        "ratio_q1": ratio_q[0], "ratio_q3": ratio_q[2],
                         "work_wins": wins, "pairs": args.pairs, "identical": identical})
         print(f"{name:48s} rev {stats['rev']['median_ms']:9.3f} ms  "
-              f"work {stats['work']['median_ms']:9.3f} ms  ratio {ratio:.3f}  "
-              f"wins {wins}/{args.pairs}  {'same bits' if identical else 'BITS DIFFER'}",
-              flush=True)
+              f"work {stats['work']['median_ms']:9.3f} ms  ratio {ratio_q[1]:.3f} "
+              f"({ratio_q[0]:.3f}-{ratio_q[2]:.3f})  wins {wins}/{args.pairs}  "
+              f"{'same bits' if identical else 'BITS DIFFER'}", flush=True)
 
-    dirty = bool(git("status", "--porcelain", "--", "src").strip())
     report = {
         "what": "in-process A/B of src/faultlab/nncore/layers.py: rev vs working tree",
         "rev": args.rev,
         "rev_sha": git("rev-parse", args.rev).strip(),
-        "work_head_sha": git("rev-parse", "HEAD").strip(),
-        "work_src_dirty": dirty,
+        # Blob ids name the two layers.py files exactly, committed or not.
+        "rev_layers_blob": git("rev-parse", f"{args.rev}:{LAYERS}").strip(),
+        "work_layers_blob": git("hash-object", LAYERS).strip(),
         "machine": machine_facts(),
         "cases": results,
     }

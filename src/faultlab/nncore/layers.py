@@ -21,9 +21,8 @@ left out:
   call per step; permuting a product's output columns leaves its bits alone.
   The backward pass keeps the gate gradients in [i|f|g|o] order.
 - A one-wide input (D=1) is projected as the broadcast product
-  ``x[:, t] * w``. It is rounded once, like the (B, 1) @ (1, 4H) matrix
-  product it replaces; the two can differ only in the sign of a zero, which
-  adding ``h W_h^T`` (never -0) removes.
+  ``x[:, t] * w``, which is faster than the (B, 1) @ (1, 4H) matrix product
+  and, being one rounded product per entry, gives the same sums.
 - An input that is constant over time, passed as a zero-stride view such as
   ``np.broadcast_to(z[:, None, :], (B, T, D))``, is projected once per call
   instead of once per step; it is the same product on the same rows.
@@ -253,7 +252,7 @@ def lstm_forward_batch(
         a += bias
         ifo = sigmoid(a[:, :3 * nh])
         i, f, o = ifo[:, :nh], ifo[:, nh:2 * nh], ifo[:, 2 * nh:]
-        g = np.tanh(a[:, 3 * nh:], out=gg[t] if want_cache else a[:, 3 * nh:])
+        g = np.tanh(a[:, 3 * nh:], out=gg[t] if want_cache else None)
         c = np.multiply(f, c_prev, out=cs[t] if want_cache else None)
         c += i * g
         tc = np.tanh(c, out=tcs[t] if want_cache else None)
