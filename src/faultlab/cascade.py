@@ -455,19 +455,22 @@ def load_models(model_dir) -> SmtcnnModels:
             raise ConfigError(f"{path}: {exc}") from None
 
     def parse_manifest(m: Checkpoint):
-        seg_cfg = SegclassConfig(window=int(m.meta["seg_window"]),
-                                 stride=int(m.meta["seg_stride"]))
+        seg_cfg = SegclassConfig(window=m.meta["seg_window"], stride=m.meta["seg_stride"])
+        seg_cfg.validate()
+        chunk_len = m.meta["chunk_len"]
+        TaskNetConfig(chunk_len=chunk_len).validate()
         std = Standardizer(m.arrays["std_mu"], m.arrays["std_sd"])
         std.validate(N_CHANNELS)
         variant = m.meta["variant"]
-        return variant, variant_stages(variant), int(m.meta["chunk_len"]), seg_cfg, std
+        return variant, variant_stages(variant), chunk_len, seg_cfg, std
 
     def parse_cpd(ckpt: Checkpoint):
+        cpd_cfg = CpdConfig(window=ckpt.meta["window"], min_gap=ckpt.meta["min_gap"],
+                            min_len=ckpt.meta["min_len"])
+        cpd_cfg.validate()
         auto = LstmAutoencoder.from_checkpoint(ckpt)
         t = ckpt.meta["threshold"]
         threshold = ThresholdSpec(mu=t["mu"], sigma=t["sigma"], k=t["k"], tau=t["tau"])
-        cpd_cfg = CpdConfig(window=auto.window, min_gap=int(ckpt.meta["min_gap"]),
-                            min_len=int(ckpt.meta["min_len"]))
         return auto, threshold, cpd_cfg
 
     variant, use, chunk_len, seg_cfg, std = load("manifest", "smtcnn_manifest", parse_manifest)

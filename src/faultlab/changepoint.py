@@ -10,6 +10,7 @@ proposed segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class ThresholdSpec:
     tau: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.sigma, self.k, self.tau))):
+            raise InvariantViolation("threshold values must be finite")
         if self.sigma < 0:
             raise InvariantViolation("sigma must be >= 0")
         if abs(self.tau - (self.mu + self.k * self.sigma)) > 1e-9 * max(1.0, abs(self.tau)):

@@ -63,36 +63,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train_cpd(args) -> int:
-    from .cascade import cpd_to_checkpoint
-    from .experiment import train_cpd_stage
-    from .nncore import save_checkpoint
-
-    cfg = _load_cfg(args)
-    auto, threshold = train_cpd_stage(read_csv(args.normal), cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(cpd_to_checkpoint(auto, threshold, cfg.cpd), out / "cpd.json")
-    print(f"wrote {out / 'cpd.json'}: tau={threshold.tau!r}")
-    return 0
-
-
-def cmd_train_seg(args) -> int:
-    from .experiment import train_seg_stage
-    from .nncore import save_checkpoint
-    from .segclass import to_checkpoint
-
-    cfg = _load_cfg(args)
-    if args.kind is not None:
-        cfg.seg.kind = args.kind
-    model, n_windows = train_seg_stage(read_csv(args.anomaly), cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(to_checkpoint(model), out / "segclass.json")
-    print(f"wrote {out / 'segclass.json'}: kind={cfg.seg.kind} windows={n_windows}")
-    return 0
-
-
 def cmd_train_smtcnn(args) -> int:
     from .cascade import save_models
     from .experiment import build_assets, train_whole
@@ -194,17 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-scale", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train-cpd", parents=[common], help="train the change-point detector")
-    p.add_argument("--normal", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_cpd)
-
-    p = sub.add_parser("train-seg", parents=[common], help="train the segment classifier")
-    p.add_argument("--anomaly", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--kind", default=None)
-    p.set_defaults(func=cmd_train_seg)
-
     p = sub.add_parser("train-smtcnn", parents=[common], help="train the full cascade")
     p.add_argument("--mixed", required=True)
     p.add_argument("--normal", required=True)
@@ -251,6 +210,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"faultlab: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"faultlab: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

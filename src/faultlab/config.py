@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -43,17 +44,20 @@ def _is_int(value: Any) -> bool:
 
 
 def _check_ints(obj: Any, minimum: int, *names: str) -> None:
+    """Integers >= minimum that fit an int64."""
     for name in names:
         value = getattr(obj, name)
-        _check(_is_int(value) and value >= minimum,
-               f"{name} must be an integer >= {minimum}, got {value!r}")
+        _check(_is_int(value) and minimum <= value < 2**63,
+               f"{name} must be an integer >= {minimum} and < 2**63, got {value!r}")
 
 
 def _check_numbers(obj: Any, minimum: float, *names: str, strict: bool = False) -> None:
-    """Numbers >= minimum, or > minimum when strict."""
+    """Numbers >= minimum, or > minimum when strict. A zero must be +0.0:
+    NumPy's samplers refuse a scale whose sign bit is set."""
     for name in names:
         value = getattr(obj, name)
-        _check(_is_number(value) and (value > minimum if strict else value >= minimum),
+        _check(_is_number(value) and (value > minimum if strict else value >= minimum)
+               and (value != 0 or math.copysign(1.0, value) > 0),
                f"{name} must be a number {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
@@ -161,7 +165,8 @@ class SimConfig:
         for name in ("benign_len", "fault_len", "anomaly_window_len"):
             lo_hi = getattr(self, name)
             _check_tuple(name, lo_hi, 2, of=_is_int)
-            _check(1 <= lo_hi[0] <= lo_hi[1], f"{name} must be (lo, hi) with 1 <= lo <= hi")
+            _check(1 <= lo_hi[0] <= lo_hi[1] < 2**63,
+                   f"{name} must be (lo, hi) with 1 <= lo <= hi < 2**63")
         _check_tuple("benign_mag_sigma", self.benign_mag_sigma, 2)
         if self.mixed_classes is not None:
             classes = self.mixed_classes
@@ -175,8 +180,9 @@ class SimConfig:
             else:
                 _check(_is_number(value), f"signatures.{f.name} must be a number, got {value!r}")
         sig = self.signatures
-        _check(sig.uv_noise_gain >= 0 and max(sig.uv_floors_v) <= sig.uv_nominal_v,
-               "signatures: undervoltage needs uv_noise_gain >= 0 and floors <= uv_nominal_v")
+        _check_numbers(sig, 0.0, "uv_noise_gain")
+        _check(max(sig.uv_floors_v) <= sig.uv_nominal_v,
+               "signatures: undervoltage needs floors <= uv_nominal_v")
 
 
 @dataclass
@@ -242,6 +248,9 @@ class SegclassConfig:
         _check_numbers(self, 0.0, "linear_l2")
 
 
+MAX_CHUNK_LEN = 4096  # 64 times the paper's chunk
+
+
 @dataclass
 class TaskNetConfig:
     """Shared shape for the Task 2 / Task 3 sequence networks.
@@ -263,6 +272,10 @@ class TaskNetConfig:
 
     def validate(self) -> None:
         _check_ints(self, 1, "hidden", "max_epochs", "chunk_len", "batch_chunks")
+        # every chunk is run at its full length, so a series shorter than one
+        # chunk still costs a whole chunk
+        _check(self.chunk_len <= MAX_CHUNK_LEN,
+               f"chunk_len must be <= {MAX_CHUNK_LEN}, got {self.chunk_len}")
         _check_ints(self, 0, "patience")
         _check_fraction("val_frac", self.val_frac)
         if self.rebalance_frac is not None:
@@ -337,7 +350,7 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

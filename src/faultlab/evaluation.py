@@ -209,23 +209,3 @@ def render_report(reports: list[EvalReport], fmt: str = "markdown",
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def parse_report_csv(text: str) -> list[dict]:
-    """Read back a csv report into [{variant, metric: (mean, std)}] rows."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise InvariantViolation("empty report")
-    header = lines[0].split(",")
-    if header != ["variant", *REPORT_COLUMNS]:
-        raise InvariantViolation(f"unexpected report header {header!r}")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = {"variant": cells[0]}
-        for name, cell in zip(METRIC_NAMES, cells[1:]):
-            mean_txt, std_txt = cell.split("±")
-            std_txt = "0" + std_txt if std_txt.startswith(".") else std_txt
-            row[name] = (float(mean_txt) / 100.0, float(std_txt))
-        out.append(row)
-    return out

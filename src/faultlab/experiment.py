@@ -2,11 +2,12 @@
 
 The change-point detector and the segment classifier are trained once, on the
 dedicated normal-only / anomaly-only datasets, by `train_cpd_stage` and
-`train_seg_stage` (`faultlab train-cpd` and `train-seg` call them too). They
-do not depend on the mixed stream, so retraining them per fold would only burn
-time without changing the comparison. Window reconstruction errors over the
-whole mixed stream are cached so each block's task 1 is a slice, not a fresh
-inference run.
+`train_seg_stage` inside `build_assets` (`faultlab train-smtcnn`, `eval` and
+`pipeline` all build their shared models there). They do not depend on the
+mixed stream, so retraining them per fold would only burn time without
+changing the comparison. Window reconstruction errors over the whole mixed
+stream are cached so each block's task 1 is a slice, not a fresh inference
+run.
 
 `train_task_nets` trains a variant's task networks on one block of the mixed
 stream into its `SmtcnnModels`: the whole stream for `train_whole`, a fold's
@@ -77,11 +78,10 @@ def train_cpd_stage(normal: TimeSeriesDataset, cfg: RunConfig,
     return auto, compute_threshold(reconstruction_errors(auto, normal), cfg.cpd.k)
 
 
-def train_seg_stage(anomaly: TimeSeriesDataset, cfg: RunConfig) -> tuple[ClassifierModel, int]:
-    """The segment classifier over the anomaly-only windows, and their count."""
+def train_seg_stage(anomaly: TimeSeriesDataset, cfg: RunConfig) -> ClassifierModel:
+    """The segment classifier over the anomaly-only windows."""
     rows = windowize(anomaly, cfg.seg.window, cfg.seg.stride)
-    model = train_classifier(cfg.seg.kind, rows, cfg.seg, seed=cfg.stage_seed("segclass"))
-    return model, len(rows)
+    return train_classifier(cfg.seg.kind, rows, cfg.seg, seed=cfg.stage_seed("segclass"))
 
 
 def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None = None,
@@ -108,7 +108,7 @@ def build_assets(cfg: RunConfig, datasets: dict[str, TimeSeriesDataset] | None =
         auto, threshold = train_cpd_stage(normal, cfg)
         mixed_errors = reconstruction_errors(auto, mixed)
     if any(u.segclass for u in uses):
-        seg_model, _ = train_seg_stage(anomaly, cfg)
+        seg_model = train_seg_stage(anomaly, cfg)
     return ExperimentAssets(cfg, normal, anomaly, mixed, auto, threshold, seg_model,
                             mixed_errors)
 

@@ -44,9 +44,20 @@ def _encode_array(arr: np.ndarray) -> dict[str, Any]:
 
 
 def _decode_array(spec: dict[str, Any]) -> np.ndarray:
-    dtype = np.float64 if spec["dtype"] == "f8" else np.int64
-    arr = np.array(spec["data"], dtype=dtype)
-    return arr.reshape(spec["shape"])
+    """The inverse of `_encode_array`, refusing what it never writes."""
+    dtype, shape = spec["dtype"], spec["shape"]
+    if dtype not in ("f8", "i8"):
+        raise ConfigError(f"unsupported checkpoint dtype {dtype!r}")
+    if not (isinstance(shape, list) and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise ConfigError(f"array shape must list sizes >= 0, got {shape!r}")
+    try:
+        arr = np.array(spec["data"], dtype=np.float64 if dtype == "f8" else np.int64)
+    except OverflowError:
+        raise ConfigError("array value outside int64") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("non-finite array value")
+    return arr.reshape(shape)
 
 
 def checkpoint_text(ckpt: Checkpoint) -> str:
@@ -67,8 +78,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, expect_kind: str | None = None) -> Checkpoint:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"not a checkpoint file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("checkpoint root must be a JSON object")
     if doc.get("format") != FORMAT_NAME:
         raise ConfigError(f"unknown checkpoint format {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
@@ -79,5 +92,9 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None) -> Checkpo
     kind = doc.get("kind", "")
     if expect_kind is not None and kind != expect_kind:
         raise ConfigError(f"checkpoint kind {kind!r}, expected {expect_kind!r}")
-    arrays = {name: _decode_array(spec) for name, spec in doc.get("arrays", {}).items()}
-    return Checkpoint(kind=kind, meta=doc.get("meta", {}), arrays=arrays)
+    meta, specs = doc.get("meta", {}), doc.get("arrays", {})
+    if not (isinstance(meta, dict) and isinstance(specs, dict)
+            and all(isinstance(spec, dict) for spec in specs.values())):
+        raise ConfigError("checkpoint meta and arrays must be JSON objects")
+    arrays = {name: _decode_array(spec) for name, spec in specs.items()}
+    return Checkpoint(kind=kind, meta=meta, arrays=arrays)

@@ -41,9 +41,6 @@ class WindowFeatures:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __getitem__(self, i: int) -> tuple[np.ndarray, int]:
-        return self.features[i], int(self.labels[i])
-
 
 def window_stats(windows: np.ndarray) -> np.ndarray:
     """(n, W, 3) stacked windows -> (n, 15) feature rows."""
@@ -363,11 +360,6 @@ def predict_batch(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, np
     return model.classes[np.argmax(scores, axis=1)], scores
 
 
-def predict(model: ClassifierModel, row: np.ndarray) -> tuple[int, np.ndarray]:
-    labels, scores = predict_batch(model, np.atleast_2d(row))
-    return int(labels[0]), scores[0]
-
-
 def stratified_folds(labels: np.ndarray, n_folds: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Fold id per row: shuffled within class, dealt round-robin globally."""
@@ -437,7 +429,7 @@ def from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
     _expect_shapes(classes=(classes, (c,)))
     if kind in ("decision_tree", "random_forest"):
         trees = [_Tree(**{f.name: arrays[f"t{i}_{f.name}"] for f in fields(_Tree)})
-                 for i in range(int(ckpt.meta["n_trees"]))]
+                 for i in range(ckpt.meta["n_trees"])]
         if not trees:
             raise InvariantViolation("a forest needs at least one tree")
         for tree in trees:

@@ -174,13 +174,13 @@ def simulate_normal(cfg: SimConfig, n: int | None = None,
         pos = 0
         while pos < n:
             if starts[pos] < cfg.benign_rate:
-                length = int(rng.integers(lo, hi + 1))
+                length = int(rng.integers(lo, hi, endpoint=True))
                 mag = rng.uniform(*cfg.benign_mag_sigma) * sigma
-                # load shifts ramp in and out rather than stepping
-                span = np.arange(length, dtype=float)
+                # load shifts ramp in and out rather than stepping; the part
+                # past the end of the series is never built
+                span = np.arange(min(length, n - pos), dtype=float)
                 ramp = np.minimum(1.0, np.minimum(span + 1.0, length - span) / cfg.benign_ramp)
-                seg = energy[pos:pos + length]
-                seg -= mag * ramp[:len(seg)]
+                energy[pos:pos + length] -= mag * ramp
                 pos += length
             else:
                 pos += 1
@@ -287,7 +287,7 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
         while pos < n:
             if not class_queue:
                 class_queue = list(rng.permutation(np.arange(1, N_FAULT_CLASSES + 1)))
-            length = int(rng.integers(lo, hi + 1))
+            length = int(rng.integers(lo, hi, endpoint=True))
             if n - pos - length < lo:
                 length = n - pos
             inject_fault(ds, FaultSpec(int(class_queue.pop())), pos, length, rng,
@@ -307,7 +307,7 @@ def generate_dataset(regime: str, cfg: SimConfig) -> TimeSeriesDataset:
     class_queue: list[int] = []
     while total < target and attempts < 50 * max(1, target):
         attempts += 1
-        length = int(rng.integers(lo, hi + 1))
+        length = int(rng.integers(lo, hi, endpoint=True))
         start = int(rng.integers(0, max(1, n - length)))
         if start + length > n:  # a fault longer than the series
             continue

@@ -1,9 +1,17 @@
 """CLI behavior through in-process main(): exit codes, seeds, artifacts."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import _file_bytes, _tiny_run_config
 from test_cascade import tiny_models
 from test_segclass import make_blobs
@@ -117,6 +125,16 @@ def test_usage_errors_exit_2(capsys):
     assert run("no-such-command") == 2
     assert run() == 2
     capsys.readouterr()
+    for gone in ("train-cpd", "train-seg"):     # train-smtcnn trains every stage
+        assert run(gone) == 2
+        assert f"invalid choice: '{gone}'" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys):
+    # 8 EB of timestamps: more than any address space holds
+    assert run("gen", "--regime", "normal", "--len", str(10**18),
+               "--out", str(tmp_path / "x.csv")) == 1
+    assert "error: out of memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -280,41 +298,21 @@ def test_infer_rejects_seed_and_config(tmp_path, capsys):
 def test_train_cpd_on_wrong_regime_exits_1(tmp_path, capsys):
     mixed = tmp_path / "mixed.csv"
     run("gen", "--regime", "mixed", "--out", str(mixed), "--len", "400", "--seed", "0")
-    code = run("train-cpd", "--normal", str(mixed), "--out", str(tmp_path / "m"),
+    code = run("train-smtcnn", "--mixed", str(mixed), "--normal", str(mixed),
+               "--anomaly", str(mixed), "--out", str(tmp_path / "m"),
                "--config", str(tiny_config(tmp_path)))
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "error: expected a normal_only dataset, got mixed" in capsys.readouterr().err
 
 
 def test_unreadable_input_exits_1_or_2(tmp_path):
-    code = run("train-cpd", "--normal", str(tmp_path / "absent.csv"),
+    absent = str(tmp_path / "absent.csv")
+    code = run("train-smtcnn", "--mixed", absent, "--normal", absent, "--anomaly", absent,
                "--out", str(tmp_path / "m"))
     assert code in (1, 2)
 
 
 # --- training round trip ------------------------------------------------------------
-
-
-def test_train_cpd_and_seg_write_checkpoints(tmp_path, capsys):
-    cfg_path = tiny_config(tmp_path)
-    normal = tmp_path / "normal.csv"
-    anomaly = tmp_path / "anomaly.csv"
-    run("gen", "--regime", "normal", "--out", str(normal), "--len", "600",
-        "--seed", "2", "--config", str(cfg_path))
-    # long enough for several fault windows, so training sees multiple classes
-    run("gen", "--regime", "anomaly", "--out", str(anomaly), "--len", "4000",
-        "--seed", "2", "--config", str(cfg_path))
-
-    out = tmp_path / "models"
-    assert run("train-cpd", "--normal", str(normal), "--out", str(out),
-               "--config", str(cfg_path), "--seed", "2") == 0
-    assert (out / "cpd.json").exists()
-
-    assert run("train-seg", "--anomaly", str(anomaly), "--out", str(out),
-               "--config", str(cfg_path), "--seed", "2",
-               "--kind", "decision_tree") == 0
-    assert (out / "segclass.json").exists()
-    assert "kind=decision_tree" in capsys.readouterr().out
 
 
 def test_infer_writes_parseable_csv(tmp_path, capsys):
@@ -357,7 +355,7 @@ def _train_smtcnn_args(tmp_path, cfg_path) -> list[str]:
 
 
 def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
-    """train-smtcnn, train-cpd, train-seg and pipeline train through the same code."""
+    """train-smtcnn and pipeline train through the same code."""
     cfg_path = _tiny_run_config(tmp_path)
     assert run("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 0
     inputs = _train_smtcnn_args(tmp_path, cfg_path)
@@ -366,14 +364,6 @@ def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
         extra = ("--ablation", ablation) if ablation else ()
         assert run("train-smtcnn", *inputs, "--out", str(out), *extra) == 0
         assert _file_bytes(out) == _file_bytes(tmp_path / "run" / "models" / variant)
-    stages = tmp_path / "stages"
-    assert run("train-cpd", "--normal", str(tmp_path / "normal.csv"), "--out", str(stages),
-               "--config", str(cfg_path)) == 0
-    assert run("train-seg", "--anomaly", str(tmp_path / "anomaly.csv"), "--out", str(stages),
-               "--config", str(cfg_path)) == 0
-    for name in ("cpd.json", "segclass.json"):
-        assert (stages / name).read_bytes() == \
-            (tmp_path / "run" / "models" / "full" / name).read_bytes()
     capsys.readouterr()
 
 
@@ -389,3 +379,161 @@ def test_train_smtcnn_builds_only_used_stages(tmp_path, capsys, monkeypatch, abl
     monkeypatch.setattr(experiment, unused, refuse)
     assert run("train-smtcnn", *inputs, "--out", str(tmp_path / "m"), "--ablation", ablation) == 0
     capsys.readouterr()
+
+
+# --- fuzz ---------------------------------------------------------------------------
+
+MODEL_FILES = ("manifest", "cpd", "task2", "task3", "segclass")
+JSON_SCALARS = (st.sampled_from([0, -1, 2**31, 2**63, -0.0, 0.5, math.inf, math.nan, "x", None])
+                | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+ARRAY_SPECS = st.fixed_dictionaries({
+    "dtype": st.sampled_from(["f8", "i8", "c16"]),
+    "shape": st.lists(st.integers(-1, 20), max_size=3),
+    "data": st.lists(st.floats() | st.integers(-2**63, 2**63), max_size=24),
+})
+CSV_FIELDS = (st.sampled_from([b"", b"nan", b"-inf", b"1e400", b"9" * 400, b"0x1f", b"1_0",
+                               b"\xff\xfe", b'"', b"1,2", b"\x00"])
+              | st.binary(max_size=6))
+JSON_PATHS = st.lists(st.integers(0, 40), max_size=5).map(tuple)
+
+# (target, operation, where, value): `target` is "csv", "config" or a model
+# file; `where` is a (line, field) pair, a cut offset, a row count or a JSON
+# path whose int steps pick among a dict's sorted keys or a list's items; "raw"
+# replaces the whole file with `value`.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("csv"), st.just("set"),
+              st.tuples(st.integers(0, 400), st.integers(0, 6)), CSV_FIELDS),
+    st.tuples(st.sampled_from(["csv", "config", *MODEL_FILES]), st.just("cut"),
+              st.integers(0, 2**16), st.none()),
+    st.tuples(st.sampled_from(["csv", "config", *MODEL_FILES]), st.just("raw"), st.none(),
+              st.binary(max_size=64)),
+    st.tuples(st.just("csv"), st.just("rows"), st.integers(0, 70), st.none()),
+    st.tuples(st.just("config"), st.just("set"), JSON_PATHS, JSON_VALUES),
+    st.tuples(st.just("config"), st.just("drop"), JSON_PATHS, st.none()),
+    st.tuples(st.sampled_from(MODEL_FILES), st.just("set"), JSON_PATHS,
+              JSON_VALUES | ARRAY_SPECS),
+    st.tuples(st.sampled_from(MODEL_FILES), st.sampled_from(["drop", "rm"]), JSON_PATHS,
+              st.none()),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory) -> Path:
+    """A valid series, config and full model directory for the fuzz to mutate."""
+    base = tmp_path_factory.mktemp("fuzz")
+    assert run("gen", "--regime", "mixed", "--out", str(base / "s.csv"), "--len", "200",
+               "--seed", "0") == 0
+    save_run_config(RunConfig(), base / "cfg.json")
+    forest = train_classifier("random_forest", make_blobs(n_per=10),
+                              SegclassConfig(rf_trees=2), seed=0)
+    save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), base / "models")
+    return base
+
+
+def _mutate_json(doc, path: tuple, value, drop: bool):
+    """`doc` with the entry at `path` set to `value`, or deleted if `drop`. The
+    walk stops early at a scalar or an empty container; an empty walk replaces
+    the whole document."""
+    parent = key = None
+    node = doc
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        if isinstance(node, dict):
+            parent, key = node, step if isinstance(step, str) else sorted(node)[step % len(node)]
+        else:
+            parent, key = node, step % len(node)
+        node = parent[key]
+    if parent is None:
+        return {} if drop else value
+    if drop:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def _apply(base: Path, mutation) -> list[str]:
+    """Mutate one input file under `base`; returns the command that reads it."""
+    target, op, where, value = mutation
+    path = base / {"csv": "s.csv", "config": "cfg.json"}.get(target, f"models/{target}.json")
+    if op == "raw":
+        path.write_bytes(value)
+    elif op == "cut":
+        data = path.read_bytes()
+        path.write_bytes(data[:where % len(data)])
+    elif target == "csv":
+        if op == "set":
+            lines = path.read_bytes().split(b"\n")
+            line = where[0] % len(lines)
+            cells = lines[line].split(b",")
+            cells[where[1] % len(cells)] = value
+            lines[line] = b",".join(cells)
+            path.write_bytes(b"\n".join(lines))
+        else:
+            path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:1 + where]))
+    elif op == "rm":
+        path.unlink()
+    else:
+        doc = _mutate_json(json.loads(path.read_text()), where, value, op == "drop")
+        path.write_text(json.dumps(doc))
+    if target == "config":
+        return ["gen", "--regime", "mixed", "--len", "60", "--config", str(path),
+                "--out", str(base / "out.csv")]
+    return ["infer", "--models", str(base / "models"), "--in", str(base / "s.csv"),
+            "--out", str(base / "pred.csv")]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(mutation=MUTATIONS)
+# from the parametrized exit-code tests above
+@example(("config", "set", ("task2", "rebalance_frac"), 1.0))
+@example(("config", "set", ("sim", "energy_base"), [10.0, 12.0]))
+@example(("config", "set", ("seed",), "x"))
+@example(("config", "drop", ("cpd",), None))
+@example(("cpd", "set", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}))
+@example(("segclass", "set", ("arrays", "t0_left", "data", 0), 1000000))
+@example(("manifest", "set", ("meta", "variant"), ["full"]))
+@example(("csv", "set", (4, 0), b"100000000000000000000000"))
+@example(("csv", "set", (4, 0), b"15778\xff36920"))
+@example(("csv", "rows", 0, None))
+# each once raised out of main() or wrote a non-finite prediction
+@example(("task2", "set", (), None))                               # root not an object
+@example(("task2", "set", ("arrays",), None))
+@example(("cpd", "set", ("arrays", "head_w", "shape"), -1))
+@example(("segclass", "set", ("arrays", "classes", "data", 0), 2**63))
+@example(("task3", "set", ("arrays", "head_b", "data", 0), math.nan))
+@example(("cpd", "set", ("meta", "window"), -1))
+@example(("cpd", "set", ("meta", "min_gap"), math.inf))
+@example(("manifest", "set", ("meta", "chunk_len"), 0))
+@example(("manifest", "set", ("meta", "chunk_len"), 2**31))       # 32 GiB of padding
+@example(("manifest", "set", ("meta", "seg_window"), math.inf))
+@example(("segclass", "set", ("meta", "n_trees"), math.inf))
+@example(("config", "set", ("sim", "energy_noise"), -0.0))
+@example(("config", "set", ("sim", "signatures", "uv_noise_gain"), -0.0))
+@example(("config", "set", ("sim", "period_s"), 2**63))
+@example(("config", "set", ("sim", "fault_len", 1), 2**63))
+@example(("config", "set", ("sim",), {"benign_rate": 1.0, "benign_len": [2**40, 2**40]}))
+@example(("config", "raw", None, b"[" * 10**6))                   # nested past the stack
+@example(("task3", "raw", None, b"[" * 10**6))
+# each once loaded without complaint and ran
+@example(("task2", "set", ("arrays", "l1_b", "dtype"), "c16"))   # read as int64
+@example(("cpd", "set", ("meta", "threshold", "tau"), math.inf))  # flags nothing
+def test_cli_fuzz_exits_cleanly(fuzz_inputs, mutation):
+    """No mutated CSV, config or model file makes main() raise or exit outside
+    0-2, and an `infer` that exits 0 writes only finite predictions."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        shutil.copytree(fuzz_inputs, base, dirs_exist_ok=True)
+        argv = _apply(base, mutation)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 0 and argv[0] == "infer":
+            assert all(math.isfinite(float(line.rsplit(",", 1)[1]))
+                       for line in (base / "pred.csv").read_text().splitlines()[1:])

@@ -2,7 +2,8 @@
 
 Each module uses each name it imports; names listed in its `__all__` count as
 used (re-exports). Each module-level `_private` function, class or constant is
-used by some other statement of its own module. Names inside string
+used by some other statement of its own module. Each public one of src/faultlab
+is used outside the tests, save a short allow-list. Names inside string
 annotations count as used.
 """
 
@@ -12,7 +13,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "faultlab").rglob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "faultlab").rglob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+# code outside the package that calls it; perfbench's own tests do not count
+CONSUMERS = [*(ROOT / "scripts").glob("*.py"),
+             *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
+
+# Public names of src/faultlab that only tests call, each kept on purpose.
+TEST_ONLY_ALLOWED = {
+    "lstm_cell_forward": "the one-step reference oracle of the batched LSTM",
+    "lstm_layer_forward": "the one-sequence reference oracle of the batched LSTM",
+    "check_gradients": "the finite-difference gradient check, a test tool kept in the package",
+    "crossval_10fold": "criterion 8's 10-fold check of the segment classifiers",
+}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -54,19 +67,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The function, class or constant names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def dead_helpers(source: str) -> list[str]:
     """Module-level `_private` defs and constants that no other top-level statement uses."""
     tree = ast.parse(source)
     dead = []
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined = [stmt.name]
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            defined = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
+        private = [n for n in _defined_names(stmt) if n.startswith("_") and not n.startswith("__")]
         if private:
             used = set().union(*(_used_names(other) for other in tree.body if other is not stmt))
             dead += [f"line {stmt.lineno}: {n}" for n in private if n not in used]
@@ -99,3 +115,47 @@ def test_scanner_finds_dead_helpers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_helpers(path):
     assert dead_helpers(path.read_text()) == []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """`_used_names` plus attribute names, so `module.name` counts as a use."""
+    return _used_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def public_names_only_tests_use(package: dict[str, str], consumers: list[str]) -> list[str]:
+    """Public module-level defs and constants of `package` (path -> source) that
+    nothing outside the tests uses: no other statement of their module, no other
+    package module, no `consumers` source. An import or an `__all__` entry is no
+    use, so an `__init__.py` re-export does not count."""
+    trees = {path: ast.parse(src) for path, src in package.items()}
+    refs = {path: _referenced_names(tree) for path, tree in trees.items()}
+    outside = set().union(*(_referenced_names(ast.parse(src)) for src in consumers))
+    found = []
+    for path, tree in trees.items():
+        elsewhere = outside.union(*(r for p, r in refs.items() if p != path))
+        for stmt in tree.body:
+            public = [n for n in _defined_names(stmt) if not n.startswith("_")]
+            if public:
+                used = elsewhere.union(*(_referenced_names(other)
+                                         for other in tree.body if other is not stmt))
+                found += [f"{path} line {stmt.lineno}: {n}" for n in public if n not in used]
+    return found
+
+
+def test_scanner_finds_test_only_names():
+    package = {
+        "pkg/__init__.py": 'from .a import orphan\n__all__ = ["orphan"]\n__version__ = "1"\n',
+        "pkg/a.py": ('LIMIT = 3\ndef helper(): return LIMIT\n'
+                     'def orphan(): return orphan()\nclass Ghost:\n    link: "Ghost"\n'
+                     'def api() -> "Hint": return helper()\nHint = int\nUNUSED: int = 4\n'),
+        "pkg/b.py": 'from . import a\ndef run(): return a.api()\n',
+    }
+    consumers = ['from pkg.b import run\nrun()\n']
+    assert public_names_only_tests_use(package, consumers) == [
+        "pkg/a.py line 3: orphan", "pkg/a.py line 4: Ghost", "pkg/a.py line 8: UNUSED"]
+
+
+def test_public_names_have_callers_outside_tests():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    found = public_names_only_tests_use(package, [p.read_text() for p in CONSUMERS])
+    assert sorted(f.rsplit(": ", 1)[1] for f in found) == sorted(TEST_ONLY_ALLOWED), found

@@ -13,7 +13,6 @@ from faultlab.segclass import (
     WindowFeatures,
     crossval_10fold,
     from_checkpoint,
-    predict,
     predict_batch,
     scores_batch,
     stratified_folds,
@@ -143,14 +142,6 @@ def test_tie_breaks_to_lowest_class():
     model = ClassifierModel(kind="sgd_linear", classes=np.array([3, 7]), impl=zero)
     preds, _ = predict_batch(model, np.ones((4, 3)))
     assert preds.tolist() == [3, 3, 3, 3]
-
-
-def test_predict_single_row_matches_batch(blobs):
-    model = train_classifier("naive_bayes", blobs, seed=0)
-    label, scores = predict(model, blobs.features[17])
-    batch_labels, batch_scores = predict_batch(model, blobs.features[17:18])
-    assert label == batch_labels[0]
-    assert np.array_equal(scores, batch_scores[0])
 
 
 def test_degenerate_inputs():
