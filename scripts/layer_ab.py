@@ -16,14 +16,18 @@ slice one step passes it:
     task_l2 32 -> 32, T=64   their second layer
 
 Batches are those of the real calls: 256 windows to train the autoencoder and
-4096 to score, 16 chunks to train a task network and 220 in a forward pass.
-BLAS runs one thread. The ratio of a case is the median, with quartiles, of
+4096 to score, 16 chunks to train a task network and 220 in a forward pass;
+the task layers' forward pass also runs at 16 chunks, as in training. The
+stacked cases time a group of K task networks' training step: K separate
+calls at REV against one call over a leading model axis in the working tree
+(K=4 task-2 nets, D=3; K=6 task-3 nets, D=5; their second layers), at 16
+chunks and at a 12-chunk last batch. BLAS runs one thread. The ratio of a case is the median, with quartiles, of
 the per-pair ratios work time / rev time: the two samples of a pair run back
 to back, so a drift in the machine's speed between pairs cancels out. The
 result, with each side's median and quartiles, the share of pairs the working
 tree won and machine facts, goes to --out:
 
-    python3 scripts/layer_ab.py --rev HEAD --pairs 20 --out BENCH_lstm_step.json
+    python3 scripts/layer_ab.py --rev HEAD --pairs 20 --out BENCH_lockstep.json
 """
 
 from __future__ import annotations
@@ -102,6 +106,36 @@ def lstm_case(role: str, nd: int, nh: int, nt: int, nb: int, backward: bool,
     return f"{role} {nd}->{nh} T={nt} B={nb} {what}", run
 
 
+def stacked_case(role: str, nd: int, nh: int, nt: int, nb: int, k: int, want_dx: bool):
+    """K layers' forward and backward passes as a task-network training step
+    runs them: K calls at REV, one call over a leading model axis in the
+    working tree, stacking of the weights and inputs included."""
+    rng = np.random.default_rng(1000 * nd + nh + nb + k)
+    cells = [work_layers.LstmCellParams.init(rng, nd, nh) for _ in range(k)]
+    for cell in cells:
+        cell.bias[:] = rng.normal(size=4 * nh)
+    xs = [rng.normal(size=(nb, nt, nd)) for _ in range(k)]
+    d_seqs = [rng.normal(size=(nb, nt, nh)) for _ in range(k)]
+
+    def arrays(hs, g):
+        return [hs, g.w_input, g.w_hidden, g.bias, g.h0, g.c0] + ([g.x] if want_dx else [])
+
+    def run(L):
+        if L is work_layers:
+            hs, cache = L.lstm_forward_batch(np.stack(xs), L.LstmCellParams.stack(cells),
+                                             want_cache=True)
+            stacked = arrays(hs, L.lstm_backward_batch(cache, np.stack(d_seqs), want_dx=want_dx))
+            return [a[j] for j in range(k) for a in stacked]
+        out = []
+        for cell, x, d_seq in zip(cells, xs, d_seqs):
+            p = L.LstmCellParams(cell.w_input, cell.w_hidden, cell.bias)
+            hs, cache = L.lstm_forward_batch(x, p, want_cache=True)
+            out += arrays(hs, L.lstm_backward_batch(cache, d_seq, want_dx=want_dx))
+        return out
+
+    return f"{role} {nd}->{nh} T={nt} B={nb} K={k} stacked forward+backward", run
+
+
 def cases():
     return [
         sigmoid_case(256, 16), sigmoid_case(4096, 16), sigmoid_case(256, 32),
@@ -114,6 +148,13 @@ def cases():
         lstm_case("task_in", 5, 32, 64, 16, backward=True, want_dx=False),
         lstm_case("task_l2", 32, 32, 64, 220, backward=False),
         lstm_case("task_l2", 32, 32, 64, 16, backward=True),
+        lstm_case("task_in", 5, 32, 64, 16, backward=False),
+        lstm_case("task_l2", 32, 32, 64, 16, backward=False),
+        *(case
+          for nb in (16, 12)
+          for case in (stacked_case("task_in", 3, 32, 64, nb, 4, want_dx=False),
+                       stacked_case("task_in", 5, 32, 64, nb, 6, want_dx=False),
+                       stacked_case("task_l2", 32, 32, 64, nb, 6, want_dx=True))),
     ]
 
 
@@ -151,7 +192,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=20, help="interleaved pairs per case (>= 10)")
-    parser.add_argument("--out", default="BENCH_lstm_step.json")
+    parser.add_argument("--out", default="BENCH_lockstep.json")
     args = parser.parse_args(argv)
     if args.pairs < 10:
         parser.error("--pairs must be at least 10")

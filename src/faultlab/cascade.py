@@ -10,7 +10,9 @@ warm started from segment-classifier predictions (a per-class head-bias prior).
 `VARIANT_STAGES` says which shared stages each variant uses (b2_no_cpd
 proposes one segment over the whole series; b3_no_segclass drops the warm
 start). `smtcnn_infer`, training and every CV fold run the tasks through
-`task1_proposal`, `build_task3_inputs` and `task3_predict`.
+`task1_proposal`, `build_task3_inputs` and `task3_predict`. `train_task2` and
+`train_task3` each train a list of networks as one group, in lockstep (see
+`nncore.training`); a network's weights do not depend on its group.
 
 Long series are processed as fixed-length stateless chunks, during both
 training and inference, so the two phases see identical input distributions.
@@ -34,7 +36,13 @@ from .changepoint import (
     segments_to_mask,
 )
 from .config import CpdConfig, SegclassConfig, TaskNetConfig
-from .errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
+from .errors import (
+    DegenerateDataError,
+    FaultlabError,
+    InvariantViolation,
+    ShapeMismatchError,
+    attempt,
+)
 from .nncore import (
     AdamState,
     Checkpoint,
@@ -42,6 +50,7 @@ from .nncore import (
     EarlyStopConfig,
     LstmCellParams,
     Standardizer,
+    TrainJob,
     dense_forward_batch,
     sequence_cross_entropy,
     train,
@@ -107,35 +116,63 @@ class SequenceClassifier:
             self.head.w, self.head.b,
         ]
 
-    def _forward(self, x: np.ndarray, want_cache: bool):
-        h1, c1 = lstm_forward_batch(x, self.lstm1, want_cache=want_cache)
-        h2, c2 = lstm_forward_batch(h1, self.lstm2, want_cache=want_cache)
-        probs = softmax(dense_forward_batch(h2, self.head), axis=-1)
-        return probs, (c1, c2, h2)
-
     def forward_probs(self, x: np.ndarray) -> np.ndarray:
-        probs, _ = self._forward(x, want_cache=False)
-        return probs
+        h1, _ = lstm_forward_batch(x, self.lstm1)
+        h2, _ = lstm_forward_batch(h1, self.lstm2)
+        return softmax(dense_forward_batch(h2, self.head), axis=-1)
 
     def loss(self, batch) -> float:
-        x, labels = batch
-        probs, _ = self._forward(x, want_cache=False)
-        value, _ = sequence_cross_entropy(probs, labels)
-        return value
+        return self.group_losses([self], [batch], want_grads=False)[0]
 
     def loss_and_grads(self, batch):
         """batch = (x: (B, L, D), labels: (B, L) ints in 0..n_out, 0 = ignore)."""
-        x, labels = batch
-        probs, (c1, c2, h2) = self._forward(x, want_cache=True)
-        value, dlogits = sequence_cross_entropy(probs, labels)
-        # the head is identity; dlogits already folds the softmax jacobian in
-        dw_head, db_head, dh2 = dense_backward_batch(h2, None, dlogits, self.head)
-        g2 = lstm_backward_batch(c2, dh2)
+        return self.group_losses([self], [batch], want_grads=True)[0]
+
+    def stack_key(self, batch):
+        """Models with equal keys can run their batches as one stacked call."""
+        return batch[0].shape, self.lstm1.w_input.shape, self.lstm2.w_input.shape
+
+    @staticmethod
+    def group_losses(models: list["SequenceClassifier"], batches: list, want_grads: bool):
+        """Each model's sequence cross entropy on its own batch, and with
+        want_grads its gradients, as (loss, grads) pairs.
+
+        Several models run their two LSTM layers as one stacked recurrence
+        (see nncore.layers), then each its own head and loss; one model runs
+        without the model axis. Either way a model gets the bits it gets alone.
+        """
+        one = len(models) == 1
+
+        def stack(arrays):
+            return arrays[0] if one else np.stack(arrays)
+
+        def layer(name):
+            cells = [getattr(m, name) for m in models]
+            return cells[0] if one else LstmCellParams.stack(cells)
+
+        def split(a):
+            return [a] if one else list(a)
+
+        h1, c1 = lstm_forward_batch(stack([x for x, _ in batches]), layer("lstm1"),
+                                    want_cache=want_grads)
+        h2, c2 = lstm_forward_batch(h1, layer("lstm2"), want_cache=want_grads)
+        losses, heads, dh2 = [], [], []
+        for model, (_, labels), h in zip(models, batches, split(h2)):
+            probs = softmax(dense_forward_batch(h, model.head), axis=-1)
+            value, dlogits = sequence_cross_entropy(probs, labels)
+            losses.append(value)
+            if want_grads:
+                # the head is identity; dlogits already folds the softmax jacobian in
+                dw_head, db_head, dh = dense_backward_batch(h, None, dlogits, model.head)
+                heads.append([dw_head, db_head])
+                dh2.append(dh)
+        if not want_grads:
+            return losses
+        g2 = lstm_backward_batch(c2, stack(dh2))
         g1 = lstm_backward_batch(c1, g2.x, want_dx=False)
-        grads = [g1.w_input, g1.w_hidden, g1.bias,
-                 g2.w_input, g2.w_hidden, g2.bias,
-                 dw_head, db_head]
-        return value, grads
+        layers = zip(*(split(a) for a in (g1.w_input, g1.w_hidden, g1.bias,
+                                          g2.w_input, g2.w_hidden, g2.bias)))
+        return [(value, [*grads, *head]) for value, grads, head in zip(losses, layers, heads)]
 
     def infer_series(self, x: np.ndarray, chunk_len: int) -> np.ndarray:
         """(T, D) -> per-step probabilities (T, n_out), stateless chunks.
@@ -191,9 +228,13 @@ def chunk_series(x: np.ndarray, labels: np.ndarray, chunk_len: int):
     return _pad_chunks(x, chunk_len), _pad_chunks(labels, chunk_len, np.int64)
 
 
-def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
-                     cfg: TaskNetConfig, rng: np.random.Generator, rare: np.ndarray) -> None:
-    """Minibatch training over label chunks.
+# A trained task network, or the error that stopped its training.
+Trained = SequenceClassifier | FaultlabError
+
+
+def _seq_job(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
+             cfg: TaskNetConfig, rng: np.random.Generator, rare: np.ndarray) -> TrainJob:
+    """The minibatch training of `model` over label chunks.
 
     `rare` marks chunks carrying the minority labels; they are repeated per
     epoch until they hold roughly cfg.rebalance_frac of the deck, otherwise
@@ -226,19 +267,33 @@ def _train_seq_model(model: SequenceClassifier, xs: np.ndarray, ys: np.ndarray,
             deck = np.concatenate([deck, reps])
 
     def make_batches(batch_rng: np.random.Generator):
+        # One batch at a time: a group of jobs trains side by side, and an
+        # epoch's batches held at once would copy each job's whole deck.
         order = batch_rng.permutation(deck)
-        return [
-            (trn_x[order[i:i + cfg.batch_chunks]], trn_y[order[i:i + cfg.batch_chunks]])
-            for i in range(0, len(order), cfg.batch_chunks)
-        ]
+        for i in range(0, len(order), cfg.batch_chunks):
+            yield trn_x[order[i:i + cfg.batch_chunks]], trn_y[order[i:i + cfg.batch_chunks]]
 
-    model.train_result = train(
-        model, make_batches, val,
-        adam=AdamState(alpha=cfg.lr),
-        max_epochs=cfg.max_epochs,
-        early=EarlyStopConfig(patience=cfg.patience, min_delta=cfg.min_delta),
-        rng=rng,
-    )
+    return TrainJob(model, make_batches, val, adam=AdamState(alpha=cfg.lr),
+                    max_epochs=cfg.max_epochs,
+                    early=EarlyStopConfig(patience=cfg.patience, min_delta=cfg.min_delta),
+                    rng=rng)
+
+
+def _train_group(jobs: list) -> list[Trained]:
+    """Train the TrainJobs among `jobs` as one group; the errors among them,
+    from setting a job up, stay in their places."""
+    results = iter(train([job for job in jobs if isinstance(job, TrainJob)]))
+
+    def finish(job) -> Trained:
+        if not isinstance(job, TrainJob):
+            return job
+        result = next(results)
+        if isinstance(result, FaultlabError):
+            return result
+        job.model.train_result = result
+        return job.model
+
+    return [finish(job) for job in jobs]
 
 
 # --- Task 2 -------------------------------------------------------------------
@@ -250,8 +305,8 @@ def task2_labels(anomaly: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return labels
 
 
-def train_task2(mixed: TimeSeriesDataset, mask: np.ndarray, cfg: TaskNetConfig,
-                std: Standardizer, seed: int = 0) -> SequenceClassifier:
+def _task2_job(mixed: TimeSeriesDataset, mask: np.ndarray, std: Standardizer, seed: int,
+               cfg: TaskNetConfig) -> TrainJob:
     if mixed.regime != "mixed":
         raise InvariantViolation(f"task 2 trains on the mixed regime, got {mixed.regime}")
     if not np.any(np.asarray(mask) == 1.0):
@@ -260,8 +315,15 @@ def train_task2(mixed: TimeSeriesDataset, mask: np.ndarray, cfg: TaskNetConfig,
     model = SequenceClassifier.init(rng, 3, cfg.hidden, 2)
     xs, ys = chunk_series(std.apply(mixed.features()),
                           task2_labels(mixed.anomaly, mask), cfg.chunk_len)
-    _train_seq_model(model, xs, ys, cfg, rng, rare=(ys == 2).any(axis=1))
-    return model
+    return _seq_job(model, xs, ys, cfg, rng, rare=(ys == 2).any(axis=1))
+
+
+def train_task2(blocks: list[tuple[TimeSeriesDataset, np.ndarray, Standardizer, int]],
+                cfg: TaskNetConfig) -> list[Trained]:
+    """Task 2 on each (mixed block, task-1 mask, standardizer, seed), the nets
+    trained as one group. Per block: its model, or the FaultlabError that
+    stopped it."""
+    return _train_group([attempt(_task2_job, *block, cfg) for block in blocks])
 
 
 def task2_score(model: SequenceClassifier, x_std: np.ndarray, segments: list[Segment],
@@ -303,10 +365,8 @@ def warm_start_bias(seg_model: ClassifierModel, x: np.ndarray,
 
 # --- Task 3 ---------------------------------------------------------------------
 
-def train_task3(inputs: np.ndarray, labels: np.ndarray, cfg: TaskNetConfig, seed: int = 0,
-                init_bias: np.ndarray | None = None) -> SequenceClassifier:
-    """Fit the 12-way per-step classifier on task 3's (T, 5) inputs with the
-    sequence cross entropy loss."""
+def _task3_job(inputs: np.ndarray, labels: np.ndarray, seed: int,
+               init_bias: np.ndarray | None, cfg: TaskNetConfig) -> TrainJob:
     rng = np.random.default_rng(seed)
     model = SequenceClassifier.init(rng, inputs.shape[1], cfg.hidden, N_CLASSES)
     if init_bias is not None:
@@ -315,8 +375,16 @@ def train_task3(inputs: np.ndarray, labels: np.ndarray, cfg: TaskNetConfig, seed
         model.head.b[:] = init_bias
     xs, ys = chunk_series(inputs, labels, cfg.chunk_len)
     rare = ((ys >= 1) & (ys < N_CLASSES)).any(axis=1)
-    _train_seq_model(model, xs, ys, cfg, rng, rare=rare)
-    return model
+    return _seq_job(model, xs, ys, cfg, rng, rare=rare)
+
+
+def train_task3(nets: list[tuple[np.ndarray, np.ndarray, int, np.ndarray | None]],
+                cfg: TaskNetConfig) -> list[Trained]:
+    """The 12-way per-step classifier on each (task 3's (T, 5) inputs, labels,
+    seed, head-bias warm start or None), with the sequence cross entropy loss,
+    the nets trained as one group. Per net: its model, or the FaultlabError
+    that stopped it."""
+    return _train_group([attempt(_task3_job, *net, cfg) for net in nets])
 
 
 def predict_classes(probs: np.ndarray) -> np.ndarray:

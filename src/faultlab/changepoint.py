@@ -24,6 +24,7 @@ from .nncore import (
     EarlyStopConfig,
     LstmCellParams,
     Standardizer,
+    TrainJob,
     dense_forward_batch,
     mse_loss,
     train,
@@ -222,14 +223,11 @@ def train_autoencoder(normal: TimeSeriesDataset, cfg: CpdConfig,
         return [trn[order[i:i + cfg.batch_windows]]
                 for i in range(0, len(order), cfg.batch_windows)]
 
-    result = train(
-        model, make_batches, val,
-        adam=AdamState(alpha=cfg.lr),
-        max_epochs=cfg.max_epochs,
-        early=EarlyStopConfig(patience=cfg.patience, min_delta=cfg.min_delta),
-        rng=rng,
-    )
-    model.train_result = result
+    job = TrainJob(model, make_batches, val, adam=AdamState(alpha=cfg.lr),
+                   max_epochs=cfg.max_epochs,
+                   early=EarlyStopConfig(patience=cfg.patience, min_delta=cfg.min_delta),
+                   rng=rng)
+    model.train_result = train([job]).result(0)
     return model
 
 

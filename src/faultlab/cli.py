@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config, save_run_config
-from .errors import ConfigError, FaultlabError
+from .errors import ConfigError, FaultlabError, unwrap
 from .simgen import N_FAULT_CLASSES, generate_dataset, read_csv, write_columns, write_csv
 
 REGIME_ALIASES = {"normal": "normal_only", "anomaly": "anomaly_only", "mixed": "mixed"}
@@ -110,8 +110,10 @@ def cmd_eval(args) -> int:
 
     cfg = _load_cfg(args)
     variants = _variant_list(args.variant)
-    assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
     plan_seed = args.plan_seed if args.plan_seed is not None else cfg.stage_seed("seqcv")
+    if plan_seed < 0:
+        raise ConfigError(f"--plan-seed must be >= 0, got {plan_seed}")
+    assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
     plan = seq_cv_plan(len(assets.mixed), folds=cfg.plan.folds, seed=plan_seed,
                        lo=cfg.plan.len_frac_lo, hi=cfg.plan.len_frac_hi)
     reports = _stage("experiment", lambda: run_variants(assets, variants, plan))
@@ -124,7 +126,7 @@ def cmd_eval(args) -> int:
 def cmd_pipeline(args) -> int:
     from .cascade import save_models
     from .evaluation import render_report
-    from .experiment import build_assets, run_variants, train_whole
+    from .experiment import build_assets, run_variants, whole_stream_models
 
     cfg = _load_cfg(args)
     out = Path(args.out if args.out is not None else cfg.out_dir)
@@ -132,9 +134,9 @@ def cmd_pipeline(args) -> int:
     variants = _variant_list(args.ablation)
 
     assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
+    trained = whole_stream_models(assets, variants)
     for v in variants:
-        models = _stage(f"train:{v}", lambda v=v: train_whole(assets, v))
-        save_models(models, out / "models" / v)
+        save_models(_stage(f"train:{v}", lambda v=v: unwrap(trained[v])), out / "models" / v)
     reports = _stage("experiment", lambda: run_variants(assets, variants))
     save_run_config(cfg, out / "config.json")
     render_report(reports, fmt="csv", path=out / "report.csv")

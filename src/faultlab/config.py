@@ -154,6 +154,11 @@ class SimConfig:
         _check_ints(self, 0, "start_timestamp")
         _check(isinstance(self.paper_scale, bool),
                f"paper_scale must be true or false, got {self.paper_scale!r}")
+        # the last timestamp of the longest stream must fit the int64 column
+        n = max(self.size_for(r) for r in REGIMES)
+        _check(self.start_timestamp + (n - 1) * self.period_s < 2**63,
+               f"start_timestamp {self.start_timestamp} + (n - 1) * period_s "
+               f"{self.period_s} overflows int64 at n = {n} rows")
         for name in ("energy_base", "cpu_base", "duration_base"):
             _check_tuple(name, getattr(self, name), self.n_devices)
         _check_numbers(self, 0.0, "energy_noise", "cpu_noise", "duration_noise",

@@ -31,3 +31,23 @@ class ConfigError(FaultlabError, ValueError):
 
 class DegenerateDataError(FaultlabError, ValueError):
     """Training data cannot support a model (e.g. a single class)."""
+
+
+def attempt(make, *args):
+    """make(*args), or the FaultlabError it raised.
+
+    Work done for many items at once, such as training a group of networks,
+    keeps each item's error in the item's place, to be raised where the item
+    is used (see `unwrap`).
+    """
+    try:
+        return make(*args)
+    except FaultlabError as exc:
+        return exc
+
+
+def unwrap(value):
+    """`value`, or raise it if it is a FaultlabError kept by `attempt`."""
+    if isinstance(value, FaultlabError):
+        raise value
+    return value

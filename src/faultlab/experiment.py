@@ -9,12 +9,17 @@ changing the comparison. Window reconstruction errors over the whole mixed
 stream are cached so each block's task 1 is a slice, not a fresh inference
 run.
 
-`train_task_nets` trains a variant's task networks on one block of the mixed
-stream into its `SmtcnnModels`: the whole stream for `train_whole`, a fold's
-training block for the CV, whose test block then runs the cascade path that
-`smtcnn_infer` runs. full and b3_no_segclass share proposals, so within a fold
-they share one task-2 model and one set of test-block task-3 inputs; all task
-networks of one fold start from the same seeded initial weights.
+`train_task_nets` trains the task networks of several variants on several
+blocks of the mixed stream into their `SmtcnnModels`: the whole stream for
+`whole_stream_models` and `train_whole`, every fold's training block for the
+CV, whose test blocks then run the cascade path that `smtcnn_infer` runs. It
+trains role by role: every block's task-2 nets as one group, then every
+block x variant task-3 net as one group, each net with the seed, data and
+bits it would have alone (see `nncore.training`). full and b3_no_segclass
+share proposals, so within a block they share one task-2 model and one set
+of task-3 inputs; all task networks of one block start from the same seeded
+initial weights. A net that fails fails only its own block and variants: the
+CV skips that fold for them, with the warning the failure names.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cascade import (
     VARIANTS,
+    SequenceClassifier,
     SmtcnnModels,
     Standardizer,
     build_task3_inputs,
@@ -46,7 +53,7 @@ from .changepoint import (
     train_autoencoder,
 )
 from .config import RunConfig
-from .errors import FaultlabError, InvariantViolation
+from .errors import FaultlabError, InvariantViolation, attempt, unwrap
 from .evaluation import EvalReport, SeqCvPlan, confusion, metrics, seq_cv_plan
 from .segclass import ClassifierModel, train_classifier, windowize
 from .simgen import NO_FAULT, TimeSeriesDataset, generate_dataset
@@ -54,6 +61,8 @@ from .simgen import NO_FAULT, TimeSeriesDataset, generate_dataset
 log = logging.getLogger(__name__)
 
 ALL_CLASSES = tuple(range(1, NO_FAULT + 1))
+# A variant's trained models, or the error that stopped their training.
+Outcome = SmtcnnModels | FaultlabError
 
 
 @dataclass
@@ -138,52 +147,107 @@ def block_inputs(assets: ExperimentAssets, models: SmtcnnModels, start: int,
     return build_task3_inputs(models.task2, models.std, x, segments, mask, models.chunk_len)
 
 
-def train_task_nets(assets: ExperimentAssets, start: int, length: int, variant: str,
-                    tag: str, cache: dict) -> SmtcnnModels:
-    """Train task 2 and task 3 of `variant` on mixed[start:start+length].
+class _Shared(NamedTuple):
+    """What the variants with one proposal choice share on a block: task 1's
+    standardizer and proposals, then task 2 and task 3's inputs."""
 
-    `tag` is "" for the whole stream and ":fold<i>" for a CV fold; it names
-    the stage seeds "task2<tag>" and "task3<tag>". `cache` holds the block's
-    standardizer, task-2 model, segments and task-3 inputs per proposal
-    choice, so variants with the same proposals (full and b3_no_segclass)
-    train task 2 once.
+    std: Standardizer
+    segments: list[Segment]
+    mask: np.ndarray
+    task2: SequenceClassifier | None = None
+    inputs: np.ndarray | None = None
+
+
+def train_task_nets(assets: ExperimentAssets, blocks: list[tuple[int, int, str]],
+                    variants: tuple[str, ...]) -> dict[tuple[int, str], Outcome]:
+    """Train task 2 and task 3 of each variant on each block of the mixed
+    stream, role by role.
+
+    A block is (start, length, tag) for mixed[start:start+length]; `tag` is
+    "" for the whole stream and ":fold<i>" for a CV fold, and names the stage
+    seeds "task2<tag>" and "task3<tag>". Variants with the same proposals
+    (full and b3_no_segclass) share a block's standardizer, task-2 model and
+    task-3 inputs. Every block's task-2 nets train as one group, then each
+    block's task-3 inputs are built, then every block x variant task-3 net
+    trains as one group.
+
+    Returns, per (block index, variant), the variant's `SmtcnnModels`, or the
+    first FaultlabError on its path: the one that training this block and
+    variant alone would raise.
     """
     cfg = assets.cfg
-    use = variant_stages(variant)
-    if (use.cpd and assets.autoencoder is None) or (use.segclass and assets.seg_model is None):
-        raise InvariantViolation(f"the assets lack a stage that variant {variant} uses")
-    block = assets.mixed.slice(start, start + length)
-    x, chunk_len = block.features(), cfg.task3.chunk_len
-    if use.cpd not in cache:
-        std = Standardizer.fit(x)
+    chunk_len = cfg.task3.chunk_len
+    data = [assets.mixed.slice(start, start + length) for start, length, _ in blocks]
+    xs = [block.features() for block in data]
+
+    def propose(b: int, variant: str) -> _Shared:
+        start, length, _ = blocks[b]
         segments, mask = block_proposals(assets, start, length, variant)
-        task2 = train_task2(block, mask, cfg.task2, std, seed=cfg.stage_seed("task2" + tag))
-        cache[use.cpd] = (std, task2, segments,
-                          build_task3_inputs(task2, std, x, segments, mask, chunk_len))
-    std, task2, segments, inputs = cache[use.cpd]
-    bias = warm_start_bias(assets.seg_model, x, segments, cfg.seg) if use.segclass else None
-    task3 = train_task3(inputs, block.fault_class, cfg.task3,
-                        seed=cfg.stage_seed("task3" + tag), init_bias=bias)
-    return SmtcnnModels(
-        variant=variant,
-        autoencoder=assets.autoencoder if use.cpd else None,
-        threshold=assets.threshold if use.cpd else None,
-        seg_model=assets.seg_model if use.segclass else None,
-        task2=task2, task3=task3, std=std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
-        chunk_len=chunk_len,
-    )
+        return _Shared(Standardizer.fit(xs[b]), segments, mask)
+
+    def with_task2(b: int, shared: _Shared, task2: SequenceClassifier) -> _Shared:
+        inputs = build_task3_inputs(task2, shared.std, xs[b], shared.segments, shared.mask,
+                                    chunk_len)
+        return shared._replace(task2=task2, inputs=inputs)
+
+    out: dict[tuple[int, str], Outcome] = {}
+    shared: dict[tuple[int, bool], _Shared | FaultlabError] = {}  # per block, proposal choice
+    for b in range(len(blocks)):
+        for v in variants:
+            use = variant_stages(v)
+            if (use.cpd and assets.autoencoder is None) or (use.segclass
+                                                            and assets.seg_model is None):
+                out[b, v] = InvariantViolation(f"the assets lack a stage that variant {v} uses")
+            elif (b, use.cpd) not in shared:
+                shared[b, use.cpd] = attempt(propose, b, v)
+
+    ready = [key for key, s in shared.items() if not isinstance(s, FaultlabError)]
+    task2 = train_task2([(data[b], shared[b, c].mask, shared[b, c].std,
+                          cfg.stage_seed("task2" + blocks[b][2])) for b, c in ready], cfg.task2)
+    for (b, c), net in zip(ready, task2):
+        shared[b, c] = net if isinstance(net, FaultlabError) else attempt(
+            with_task2, b, shared[b, c], net)
+
+    task3_sets = {}  # (block, variant) -> task 3's (inputs, labels, seed, warm start)
+    for b in range(len(blocks)):
+        for v in variants:
+            if (b, v) in out:
+                continue
+            use = variant_stages(v)
+            block = shared[b, use.cpd]
+            bias = None
+            if use.segclass and not isinstance(block, FaultlabError):
+                bias = attempt(warm_start_bias, assets.seg_model, xs[b], block.segments, cfg.seg)
+            failed = [e for e in (block, bias) if isinstance(e, FaultlabError)]
+            if failed:
+                out[b, v] = failed[0]
+                continue
+            task3_sets[b, v] = (block.inputs, data[b].fault_class,
+                                cfg.stage_seed("task3" + blocks[b][2]), bias)
+
+    task3 = train_task3(list(task3_sets.values()), cfg.task3)
+    for (b, v), net in zip(task3_sets, task3):
+        use = variant_stages(v)
+        block = shared[b, use.cpd]
+        out[b, v] = net if isinstance(net, FaultlabError) else SmtcnnModels(
+            variant=v,
+            autoencoder=assets.autoencoder if use.cpd else None,
+            threshold=assets.threshold if use.cpd else None,
+            seg_model=assets.seg_model if use.segclass else None,
+            task2=block.task2, task3=net, std=block.std, cpd_cfg=cfg.cpd, seg_cfg=cfg.seg,
+            chunk_len=chunk_len,
+        )
+    return out
 
 
-def _run_fold(assets: ExperimentAssets, fold, fold_idx: int, variant: str,
-              cache: dict, test_inputs: dict) -> dict[str, float]:
-    """Train on the fold's train block, score its test block.
+def _run_fold(assets: ExperimentAssets, fold, models: SmtcnnModels,
+              test_inputs: dict) -> dict[str, float]:
+    """Score a fold's test block with the models trained on its train block.
 
-    `cache` and `test_inputs` are per-fold caches keyed by the proposal
+    `test_inputs` caches the fold's test-block task-3 inputs per proposal
     choice.
     """
-    models = train_task_nets(assets, fold.train_start, fold.train_len, variant,
-                             f":fold{fold_idx}", cache)
-    key = variant_stages(variant).cpd
+    key = variant_stages(models.variant).cpd
     if key not in test_inputs:
         test_inputs[key] = block_inputs(assets, models, fold.test_start, fold.test_len)
     pred = task3_predict(models.task3, test_inputs[key], models.chunk_len)
@@ -191,9 +255,17 @@ def _run_fold(assets: ExperimentAssets, fold, fold_idx: int, variant: str,
     return metrics(confusion(pred.classes, truth, classes=ALL_CLASSES))
 
 
+def whole_stream_models(assets: ExperimentAssets, variants: tuple[str, ...],
+                        ) -> dict[str, Outcome]:
+    """Final deployable models per variant, trained on the whole mixed stream
+    as one group, or the error that stopped a variant's training."""
+    trained = train_task_nets(assets, [(0, len(assets.mixed), "")], variants)
+    return {v: trained[0, v] for v in variants}
+
+
 def train_whole(assets: ExperimentAssets, variant: str) -> SmtcnnModels:
     """Final deployable models for one variant, trained on the whole mixed stream."""
-    return train_task_nets(assets, 0, len(assets.mixed), variant, "", {})
+    return unwrap(whole_stream_models(assets, (variant,))[variant])
 
 
 def default_plan(assets: ExperimentAssets) -> SeqCvPlan:
@@ -215,12 +287,14 @@ def run_variants(assets: ExperimentAssets, variants: tuple[str, ...],
     if plan is None:
         plan = default_plan(assets)
     reports = {v: EvalReport(label=v) for v in variants}
+    trained = train_task_nets(assets, [(fold.train_start, fold.train_len, f":fold{idx}")
+                                       for idx, fold in enumerate(plan.folds)], variants)
     for idx, fold in enumerate(plan.folds):
-        cache: dict = {}
         test_inputs: dict = {}
         for v in variants:
             try:
-                reports[v].add_fold(_run_fold(assets, fold, idx, v, cache, test_inputs))
+                reports[v].add_fold(_run_fold(assets, fold, unwrap(trained[idx, v]),
+                                              test_inputs))
             except FaultlabError as exc:
                 warnings.warn(f"fold {idx} failed for {v}: {exc}", stacklevel=2)
                 reports[v].skipped_folds.append(idx)

@@ -5,16 +5,13 @@ from .layers import (
     LstmCellParams,
     Standardizer,
     dense_forward_batch,
-    lstm_cell_forward,
     lstm_forward_batch,
-    lstm_layer_forward,
     sigmoid,
     softmax,
 )
 from .losses import mse_loss, one_hot_sequences, sequence_cross_entropy
 from .optim import AdamState, adam_step, pack, unpack_into
-from .training import EarlyStopConfig, TrainResult, train
-from .gradcheck import GradCheckReport, check_gradients
+from .training import EarlyStopConfig, TrainJob, TrainResult, train
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -22,17 +19,14 @@ __all__ = [
     "Checkpoint",
     "DenseParams",
     "EarlyStopConfig",
-    "GradCheckReport",
     "LstmCellParams",
     "Standardizer",
+    "TrainJob",
     "TrainResult",
     "adam_step",
-    "check_gradients",
     "dense_forward_batch",
     "load_checkpoint",
-    "lstm_cell_forward",
     "lstm_forward_batch",
-    "lstm_layer_forward",
     "mse_loss",
     "one_hot_sequences",
     "pack",

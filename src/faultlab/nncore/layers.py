@@ -1,13 +1,21 @@
 """LSTM and dense layer primitives with hand-derived backward passes, plus
 the z-score Standardizer every model applies to its inputs.
 
-All math is float64. Batched sequence arrays are shaped (B, T, dim); the
-thin single-sequence wrappers near the bottom take (T, dim) and plain
-vectors, and serve the tests as reference oracles for the batched pass.
+All math is float64. Batched sequence arrays are shaped (B, T, dim).
 
 LSTM gate layout: the 4H rows of ``w_input``/``w_hidden`` (and entries of
 ``bias``) are sliced as [input gate | forget gate | candidate | output gate].
 Gates use the logistic sigmoid, the candidate uses tanh.
+
+The batched LSTM also runs K independent layers of one shape as one
+recurrence over a leading model axis: weights (K, 4H, D), (K, 4H, H) and
+(K, 4H) (see ``LstmCellParams.stack``), input (K, B, T, D), states
+(K, B, H). The code is the same; every product becomes K products of the
+same operands through one ``np.matmul`` call, and every elementwise step
+covers all K layers at once. Each layer's outputs and gradients are byte
+for byte those of its own call, so a trainer can group models freely; the
+gain is fewer NumPy calls per step at small batches, where the step is
+bound by call overhead.
 
 The batched LSTM keeps the per-step floating-point work fixed: every step
 runs the same products and sums, in the same order, whatever the call needs
@@ -28,8 +36,8 @@ left out:
   instead of once per step; it is the same product on the same rows.
 - Without ``want_cache`` the forward pass keeps no per-step gates or cell
   states, only the hidden outputs it returns. The cache it keeps otherwise
-  is time-major, (T, B, H), so every step writes and the backward pass
-  reads contiguous (B, H) blocks.
+  is time-major, (T, B, H) or (T, K, B, H), so every step writes and the
+  backward pass reads contiguous blocks.
 - The backward pass takes no per-step gradient when only the final state
   feeds downstream (``dh_seq=None``), and computes no input gradient when
   nothing reads it (``want_dx=False``).
@@ -91,7 +99,8 @@ class Standardizer:
 class LstmCellParams:
     """Weights of one LSTM cell.
 
-    w_input: (4H, D), w_hidden: (4H, H), bias: (4H,).
+    w_input: (4H, D), w_hidden: (4H, H), bias: (4H,); with a leading model
+    axis of K cells when built by `stack`.
     """
 
     w_input: np.ndarray
@@ -100,11 +109,17 @@ class LstmCellParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hidden.shape[1]
+        return self.w_hidden.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.w_input.shape[1]
+        return self.w_input.shape[-1]
+
+    @classmethod
+    def stack(cls, cells: list["LstmCellParams"]) -> "LstmCellParams":
+        """K cells of one shape as one, along a leading model axis (copies)."""
+        return cls(*(np.stack([getattr(c, name) for c in cells])
+                     for name in ("w_input", "w_hidden", "bias")))
 
     def validate(self) -> None:
         if self.w_input.ndim != 2 or self.w_hidden.ndim != 2:
@@ -177,8 +192,8 @@ class LstmCache:
     """Forward-pass intermediates needed by lstm_backward_batch.
 
     The per-step arrays are time-major, so step t is one contiguous (B, H)
-    block; only the hidden outputs keep the (B, T, H) layout the forward pass
-    returns.
+    block, or (K, B, H) with a model axis; only the hidden outputs keep the
+    (B, T, H) layout the forward pass returns.
     """
 
     x: np.ndarray        # (B, T, D) input
@@ -213,50 +228,56 @@ def lstm_forward_batch(
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Run an LSTM over a batch of sequences.
 
-    x: (B, T, D) -> hidden outputs (B, T, H). A zero-stride time axis marks an
-    input that is constant over time; its projection is computed once.
+    x: (B, T, D) -> hidden outputs (B, T, H), or (K, B, T, D) -> (K, B, T, H)
+    for K stacked cells. A zero-stride time axis marks an input that is
+    constant over time; its projection is computed once.
     """
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"expected (B, T, D) input, got shape {x.shape}")
-    nb, nt, nd = x.shape
+    stacked = p.w_input.ndim == 3
+    if x.ndim != 3 + stacked:
+        want = "(K, B, T, D)" if stacked else "(B, T, D)"
+        raise ShapeMismatchError(f"expected {want} input, got shape {x.shape}")
+    if stacked and x.shape[0] != p.w_input.shape[0]:
+        raise ShapeMismatchError(f"{x.shape[0]} inputs for {p.w_input.shape[0]} stacked cells")
+    lead, (nt, nd) = x.shape[:-2], x.shape[-2:]
     if nt == 0:
         raise ShapeMismatchError("empty sequence (T=0)")
     if nd != p.input_size:
         raise ShapeMismatchError(f"input dim {nd} != layer input size {p.input_size}")
     nh = p.hidden_size
-    h_prev = np.zeros((nb, nh)) if h0 is None else h0
-    c_prev = np.zeros((nb, nh)) if c0 is None else c0
-    if h_prev.shape != (nb, nh) or c_prev.shape != (nb, nh):
+    h_prev = np.zeros(lead + (nh,)) if h0 is None else h0
+    c_prev = np.zeros(lead + (nh,)) if c0 is None else c0
+    if h_prev.shape != lead + (nh,) or c_prev.shape != lead + (nh,):
         raise ShapeMismatchError("initial state shape mismatch")
 
-    # Weights permuted to [i|f|o|g] rows; .T keeps the layout of p.w_*.T.
+    # Weights permuted to [i|f|o|g] rows; the transposed views keep the
+    # layout of p.w_*.T.
     order = np.r_[0:2 * nh, 3 * nh:4 * nh, 2 * nh:3 * nh]
-    wx_t = p.w_input[order].T   # (D, 4H)
-    wh_t = p.w_hidden[order].T  # (H, 4H)
-    bias = p.bias[order]
+    wx_t = p.w_input[..., order, :].swapaxes(-1, -2)   # (D, 4H)
+    wh_t = p.w_hidden[..., order, :].swapaxes(-1, -2)  # (H, 4H)
+    bias = p.bias[..., None, order]                    # (1, 4H)
 
     def project(xt):
         return xt * wx_t if nd == 1 else xt @ wx_t
 
-    x_proj = project(x[:, 0]) if x.strides[1] == 0 else None
-    hs = np.empty((nb, nt, nh))
+    x_proj = project(x[..., 0, :]) if x.strides[-2] == 0 else None
+    hs = np.empty(lead + (nt, nh))
     if want_cache:
-        gi, gf, gg, go, cs, tcs = (np.empty((nt, nb, nh)) for _ in range(6))
+        gi, gf, gg, go, cs, tcs = (np.empty((nt,) + lead + (nh,)) for _ in range(6))
     h0_saved, c0_saved = h_prev, c_prev
 
     for t in range(nt):
         # (x W_x^T + h W_h^T) + b and f c + i g, summed in place; the sums
         # commute, so the bits are those of the textbook expressions.
         a = h_prev @ wh_t
-        a += project(x[:, t]) if x_proj is None else x_proj
+        a += project(x[..., t, :]) if x_proj is None else x_proj
         a += bias
-        ifo = sigmoid(a[:, :3 * nh])
-        i, f, o = ifo[:, :nh], ifo[:, nh:2 * nh], ifo[:, 2 * nh:]
-        g = np.tanh(a[:, 3 * nh:], out=gg[t] if want_cache else None)
+        ifo = sigmoid(a[..., :3 * nh])
+        i, f, o = ifo[..., :nh], ifo[..., nh:2 * nh], ifo[..., 2 * nh:]
+        g = np.tanh(a[..., 3 * nh:], out=gg[t] if want_cache else None)
         c = np.multiply(f, c_prev, out=cs[t] if want_cache else None)
         c += i * g
         tc = np.tanh(c, out=tcs[t] if want_cache else None)
-        h_prev = np.multiply(o, tc, out=hs[:, t])
+        h_prev = np.multiply(o, tc, out=hs[..., t, :])
         if want_cache:
             gi[t], gf[t], go[t] = i, f, o
         c_prev = c
@@ -279,32 +300,34 @@ def lstm_backward_batch(
     dh_seq: (B, T, H) upstream gradient on every hidden output, or None when
     only the final state feeds downstream; dh_last/dc_last add extra gradient
     on the final hidden/cell state. With want_dx=False the input gradient is
-    not computed and the returned ``x`` is None.
+    not computed and the returned ``x`` is None. A cache of stacked cells
+    takes and gives every array with the leading model axis.
     """
     p = cache.params
-    nb, nt, nd = cache.x.shape
+    lead, (nt, nd) = cache.x.shape[:-2], cache.x.shape[-2:]
     nh = p.hidden_size
     if dh_seq is not None and dh_seq.shape != cache.h.shape:
         raise ShapeMismatchError("dh_seq shape mismatch")
     for name, d in (("dh_last", dh_last), ("dc_last", dc_last)):
-        if d is not None and d.shape != (nb, nh):
-            raise ShapeMismatchError(f"{name} shape {d.shape}, expected ({nb}, {nh})")
+        if d is not None and d.shape != lead + (nh,):
+            raise ShapeMismatchError(f"{name} shape {d.shape}, expected {lead + (nh,)}")
 
     d_wx = np.zeros_like(p.w_input)
     d_wh = np.zeros_like(p.w_hidden)
     d_b = np.zeros_like(p.bias)
-    dx = np.empty((nb, nt, nd)) if want_dx else None  # C order, also for a broadcast x
-    da = np.empty((nb, 4 * nh))  # same gate order as the parameter rows
-    dh_carry = np.zeros((nb, nh)) if dh_last is None else dh_last.copy()
-    dc_carry = np.zeros((nb, nh)) if dc_last is None else dc_last.copy()
+    dx = np.empty(cache.x.shape) if want_dx else None  # C order, also for a broadcast x
+    da = np.empty(lead + (4 * nh,))  # same gate order as the parameter rows
+    da_t = da.swapaxes(-1, -2)
+    dh_carry = np.zeros(lead + (nh,)) if dh_last is None else dh_last.copy()
+    dc_carry = np.zeros(lead + (nh,)) if dc_last is None else dc_last.copy()
 
     for t in range(nt - 1, -1, -1):
         i, f, g, o = cache.gate_i[t], cache.gate_f[t], cache.gate_g[t], cache.gate_o[t]
         tc = cache.tanh_c[t]
         c_prev = cache.c[t - 1] if t > 0 else cache.c0
-        h_prev = cache.h[:, t - 1] if t > 0 else cache.h0
+        h_prev = cache.h[..., t - 1, :] if t > 0 else cache.h0
 
-        dh = dh_carry if dh_seq is None else dh_seq[:, t] + dh_carry
+        dh = dh_carry if dh_seq is None else dh_seq[..., t, :] + dh_carry
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_carry
         di = dc * g
@@ -312,15 +335,15 @@ def lstm_backward_batch(
         df = dc * c_prev
         dc_carry = dc * f
 
-        np.multiply(di * i, 1.0 - i, out=da[:, :nh])
-        np.multiply(df * f, 1.0 - f, out=da[:, nh:2 * nh])
-        np.multiply(dg, 1.0 - g * g, out=da[:, 2 * nh:3 * nh])
-        np.multiply(do * o, 1.0 - o, out=da[:, 3 * nh:])
-        d_wx += da.T @ cache.x[:, t]
-        d_wh += da.T @ h_prev
-        d_b += da.sum(axis=0)
+        np.multiply(di * i, 1.0 - i, out=da[..., :nh])
+        np.multiply(df * f, 1.0 - f, out=da[..., nh:2 * nh])
+        np.multiply(dg, 1.0 - g * g, out=da[..., 2 * nh:3 * nh])
+        np.multiply(do * o, 1.0 - o, out=da[..., 3 * nh:])
+        d_wx += da_t @ cache.x[..., t, :]
+        d_wh += da_t @ h_prev
+        d_b += da.sum(axis=-2)
         if dx is not None:
-            dx[:, t] = da @ p.w_input
+            dx[..., t, :] = da @ p.w_input
         dh_carry = da @ p.w_hidden
 
     return LstmGrads(d_wx, d_wh, d_b, dx, dh_carry, dc_carry)
@@ -354,47 +377,3 @@ def dense_backward_batch(
     db = flat_dz.sum(axis=0)
     dx = dz @ p.w
     return dw, db, dx
-
-
-# --- single-sequence / vector wrappers -------------------------------------
-
-def lstm_cell_forward(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, p: LstmCellParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step on plain vectors: returns (h_next, c_next)."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    nh = p.hidden_size
-    if x.shape != (p.input_size,) or h.shape != (nh,) or c.shape != (nh,):
-        raise ShapeMismatchError(
-            f"cell input shapes {x.shape}/{h.shape}/{c.shape} do not match params "
-            f"(D={p.input_size}, H={nh})"
-        )
-    a = p.w_input @ x + p.w_hidden @ h + p.bias
-    i = sigmoid(a[:nh])
-    f = sigmoid(a[nh:2 * nh])
-    g = np.tanh(a[2 * nh:3 * nh])
-    o = sigmoid(a[3 * nh:])
-    c_next = f * c + i * g
-    h_next = o * np.tanh(c_next)
-    return h_next, c_next
-
-
-def lstm_layer_forward(
-    seq: np.ndarray,
-    p: LstmCellParams,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run the cell over a (T, D) sequence; returns the (T, H) hidden sequence."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2:
-        raise ShapeMismatchError(f"expected (T, D) sequence, got shape {seq.shape}")
-    if seq.shape[0] == 0:
-        raise ShapeMismatchError("empty sequence")
-    batched = seq[None, :, :]
-    h0b = None if h0 is None else np.asarray(h0, dtype=float)[None, :]
-    c0b = None if c0 is None else np.asarray(c0, dtype=float)[None, :]
-    hs, _ = lstm_forward_batch(batched, p, h0b, c0b)
-    return hs[0]

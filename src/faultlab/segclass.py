@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import SegclassConfig
 from .errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
-from .evaluation import EvalReport, confusion, metrics
 from .nncore import Checkpoint, Standardizer
 from .nncore.layers import softmax
 from .simgen import TimeSeriesDataset
@@ -358,41 +357,6 @@ def predict_batch(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, np
     # argmax returns the first maximum; classes are sorted, so ties go to
     # the lowest class id
     return model.classes[np.argmax(scores, axis=1)], scores
-
-
-def stratified_folds(labels: np.ndarray, n_folds: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Fold id per row: shuffled within class, dealt round-robin globally."""
-    fold_of = np.empty(len(labels), dtype=np.int64)
-    pointer = 0
-    for c in np.unique(labels):
-        idx = np.nonzero(labels == c)[0]
-        idx = idx[rng.permutation(len(idx))]
-        for i in idx:
-            fold_of[i] = pointer % n_folds
-            pointer += 1
-    return fold_of
-
-
-def crossval_10fold(rows: WindowFeatures, kind: str, seed: int = 0,
-                    cfg: SegclassConfig | None = None, n_folds: int = 10) -> EvalReport:
-    """Shuffled stratified k-fold; metrics aggregated via the eval module."""
-    if len(rows) < n_folds:
-        raise DegenerateDataError(f"{len(rows)} rows is fewer than {n_folds} folds")
-    rng = np.random.default_rng(seed)
-    fold_of = stratified_folds(rows.labels, n_folds, rng)
-    report = EvalReport(label=kind)
-    for f in range(n_folds):
-        test = fold_of == f
-        model = train_classifier(
-            kind, WindowFeatures(rows.features[~test], rows.labels[~test], rows.names),
-            cfg=cfg, seed=seed + f,
-        )
-        preds, _ = predict_batch(model, rows.features[test])
-        cm = confusion(preds, rows.labels[test],
-                       classes=sorted(set(np.concatenate([preds, rows.labels[test]]).tolist())))
-        report.add_fold(metrics(cm))
-    return report
 
 
 # --- persistence -------------------------------------------------------------

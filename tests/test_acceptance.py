@@ -40,7 +40,6 @@ from faultlab.experiment import build_assets, run_all_variants
 from faultlab.nncore import (
     DenseParams,
     LstmCellParams,
-    check_gradients,
     dense_forward_batch,
     load_checkpoint,
     lstm_forward_batch,
@@ -57,8 +56,8 @@ from faultlab.segclass import (
     train_classifier,
     windowize,
 )
-from faultlab.segclass import crossval_10fold
 from faultlab.simgen import NO_FAULT, generate_dataset
+from oracles import check_gradients, crossval_10fold
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

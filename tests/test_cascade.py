@@ -94,12 +94,12 @@ def test_task2_score_exactly_zero_outside_segments():
 
 def test_train_task2_rejects_bad_inputs(normal_small, mixed_small):
     cfg = TaskNetConfig(max_epochs=1)
-    with pytest.raises(InvariantViolation):
-        train_task2(normal_small, np.ones(len(normal_small.energy)), cfg,
-                    Standardizer(np.zeros(3), np.ones(3)))
-    with pytest.raises(DegenerateDataError):
-        train_task2(mixed_small, np.zeros(len(mixed_small.energy)), cfg,
-                    Standardizer(np.zeros(3), np.ones(3)))
+    std = Standardizer(np.zeros(3), np.ones(3))
+    wrong_regime, no_segments = train_task2(
+        [(normal_small, np.ones(len(normal_small.energy)), std, 0),
+         (mixed_small, np.zeros(len(mixed_small.energy)), std, 0)], cfg)
+    assert isinstance(wrong_regime, InvariantViolation)
+    assert isinstance(no_segments, DegenerateDataError)
 
 
 # --- warm start prior -----------------------------------------------------------
@@ -189,7 +189,7 @@ def test_sequence_classifier_checkpoint_round_trip():
 def test_sequence_classifier_gradcheck():
     # covers the layer-2 input gradient feeding layer 1, whose own input
     # gradient is skipped
-    from faultlab.nncore import check_gradients
+    from oracles import check_gradients
 
     rng = np.random.default_rng(5)
     model = SequenceClassifier.init(rng, 3, 4, 3)

@@ -19,7 +19,8 @@ from faultlab.changepoint import (
 )
 from faultlab.config import CpdConfig
 from faultlab.errors import InvariantViolation, ShapeMismatchError
-from faultlab.nncore import Standardizer, check_gradients, load_checkpoint, save_checkpoint
+from faultlab.nncore import Standardizer, load_checkpoint, save_checkpoint
+from oracles import check_gradients
 
 
 TINY_CPD = CpdConfig(

@@ -18,7 +18,7 @@ from test_segclass import make_blobs
 
 from faultlab.cascade import save_models
 from faultlab.cli import main
-from faultlab.config import RunConfig, SegclassConfig, save_run_config
+from faultlab.config import RunConfig, SegclassConfig, load_run_config, save_run_config
 from faultlab.segclass import train_classifier
 from faultlab.simgen import read_csv
 
@@ -131,8 +131,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_out_of_memory_exits_1(tmp_path, capsys):
-    # 8 EB of timestamps: more than any address space holds
-    assert run("gen", "--regime", "normal", "--len", str(10**18),
+    # 800 PB of timestamps: more than any address space holds, while the last
+    # timestamp still fits int64 (10**18 rows would fail the config check)
+    assert run("gen", "--regime", "normal", "--len", str(10**17),
                "--out", str(tmp_path / "x.csv")) == 1
     assert "error: out of memory" in capsys.readouterr().err
 
@@ -367,6 +368,33 @@ def test_train_smtcnn_matches_pipeline_models(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_rejects_a_negative_plan_seed_before_training(tmp_path, capsys, monkeypatch):
+    import faultlab.experiment as experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assets built for an unusable plan seed")
+
+    monkeypatch.setattr(experiment, "build_assets", refuse)
+    assert run("eval", "--plan-seed", "-1", "--out", str(tmp_path / "r.md")) == 2
+    assert "--plan-seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ablation", [None, "b3"])
+def test_pipeline_names_the_variant_whose_training_failed(tmp_path, capsys, ablation):
+    # no window clears a threshold of mu + 1e9 sigma, so task 2 of the CPD
+    # variants has no proposed segment to train on
+    cfg = load_run_config(_tiny_run_config(tmp_path))
+    cfg.cpd.k = 1e9
+    save_run_config(cfg, tmp_path / "k.json")
+    extra = ("--ablation", ablation) if ablation else ()
+    out = tmp_path / "run"
+    assert run("pipeline", "--config", str(tmp_path / "k.json"), "--out", str(out), *extra) == 1
+    variant = "b3_no_segclass" if ablation else "full"
+    assert capsys.readouterr().err == (f"faultlab: error: stage 'train:{variant}': "
+                                       "no proposed segments; cannot train task 2\n")
+    assert not (out / "models").exists()
+
+
 @pytest.mark.parametrize("ablation,unused", [("b2", "train_autoencoder"),
                                              ("b3", "train_classifier")])
 def test_train_smtcnn_builds_only_used_stages(tmp_path, capsys, monkeypatch, ablation, unused):
@@ -400,6 +428,20 @@ CSV_FIELDS = (st.sampled_from([b"", b"nan", b"-inf", b"1e400", b"9" * 400, b"0x1
                                b"\xff\xfe", b'"', b"1,2", b"\x00"])
               | st.binary(max_size=6))
 JSON_PATHS = st.lists(st.integers(0, 40), max_size=5).map(tuple)
+ARG_FLAGS = ("--len", "--rate", "--plan-seed")
+ARG_TEXT = (st.sampled_from(["0", "-1", "x", "", "1.5", "nan", "-inf", "1e400", "0x10",
+                             str(2**63), str(2**64), str(-2**63 - 1), str(2**63 - 1)])
+            | st.integers(-2**70, 2**70).map(str) | st.floats().map(repr) | st.text(max_size=6))
+
+
+def _generates_many_rows(flag: str, text: str) -> bool:
+    """A --len the generator would really run with, above 1000 rows. Lengths
+    from 2**57 up fail the config check first (their timestamps pass int64)."""
+    try:
+        n = int(text)
+    except ValueError:
+        return False
+    return flag == "--len" and 1000 < n < 2**57
 
 # (target, operation, where, value): `target` is "csv", "config" or a model
 # file; `where` is a (line, field) pair, a cut offset, a row count or a JSON
@@ -419,6 +461,8 @@ MUTATIONS = st.one_of(
               JSON_VALUES | ARRAY_SPECS),
     st.tuples(st.sampled_from(MODEL_FILES), st.sampled_from(["drop", "rm"]), JSON_PATHS,
               st.none()),
+    st.tuples(st.just("arg"), st.sampled_from(ARG_FLAGS), st.none(), ARG_TEXT).filter(
+        lambda m: not _generates_many_rows(m[1], m[3])),
 )
 
 
@@ -429,6 +473,7 @@ def fuzz_inputs(tmp_path_factory) -> Path:
     assert run("gen", "--regime", "mixed", "--out", str(base / "s.csv"), "--len", "200",
                "--seed", "0") == 0
     save_run_config(RunConfig(), base / "cfg.json")
+    _tiny_run_config(base)  # tiny.json, for `eval`
     forest = train_classifier("random_forest", make_blobs(n_per=10),
                               SegclassConfig(rf_trees=2), seed=0)
     save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), base / "models")
@@ -461,6 +506,12 @@ def _mutate_json(doc, path: tuple, value, drop: bool):
 def _apply(base: Path, mutation) -> list[str]:
     """Mutate one input file under `base`; returns the command that reads it."""
     target, op, where, value = mutation
+    if target == "arg":  # `op` is the flag, `value` its text
+        if op == "--plan-seed":
+            return ["eval", "--config", str(base / "tiny.json"), "--variant", "b2",
+                    f"--plan-seed={value}", "--out", str(base / "eval.md")]
+        return ["gen", "--regime", "mixed", "--len=60", f"{op}={value}",
+                "--out", str(base / "out.csv")]
     path = base / {"csv": "s.csv", "config": "cfg.json"}.get(target, f"models/{target}.json")
     if op == "raw":
         path.write_bytes(value)
@@ -524,9 +575,14 @@ def _apply(base: Path, mutation) -> list[str]:
 # each once loaded without complaint and ran
 @example(("task2", "set", ("arrays", "l1_b", "dtype"), "c16"))   # read as int64
 @example(("cpd", "set", ("meta", "threshold", "tau"), math.inf))  # flags nothing
+# arguments
+@example(("arg", "--plan-seed", None, "-1"))                       # once a traceback
+@example(("arg", "--len", None, str(2**63 - 1)))                   # timestamps pass int64
+@example(("arg", "--rate", None, "nan"))
 def test_cli_fuzz_exits_cleanly(fuzz_inputs, mutation):
-    """No mutated CSV, config or model file makes main() raise or exit outside
-    0-2, and an `infer` that exits 0 writes only finite predictions."""
+    """No mutated CSV, config or model file, and no --len, --rate or
+    --plan-seed text, makes main() raise or exit outside 0-2, and an `infer`
+    that exits 0 writes only finite predictions."""
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         shutil.copytree(fuzz_inputs, base, dirs_exist_ok=True)

@@ -100,3 +100,26 @@ def test_quick_config_loads():
     assert cfg.sim.n_points == 6000
     assert (cfg.task2.max_epochs, cfg.task3.max_epochs) == (2, 2)
     assert (cfg.plan.folds, cfg.plan.min_valid_folds) == (3, 2)
+
+
+@pytest.mark.parametrize("field,value", [("start_timestamp", 2**63 - 100),
+                                         ("period_s", 2**62)])
+def test_sim_validate_rejects_int64_timestamp_overflow(field, value):
+    # 60 rows reach start_timestamp + 59 * period_s; the error names both fields
+    cfg = SimConfig(n_points=60, **{field: value})
+    with pytest.raises(ConfigError, match=r"start_timestamp .* period_s .* n = 60 rows"):
+        cfg.validate()
+    # the last timestamp may be 2**63 - 1 exactly
+    start, period = SimConfig().start_timestamp, SimConfig().period_s
+    fits = {"start_timestamp": 2**63 - 1 - 59 * period,
+            "period_s": (2**63 - 1 - start) // 59}[field]
+    SimConfig(n_points=60, **{field: fits}).validate()
+
+
+def test_sim_validate_timestamp_span_uses_the_longest_regime():
+    n = max(PAPER_SIZES.values())
+    period = (2**63 - 1 - SimConfig().start_timestamp) // (n - 1)
+    SimConfig(paper_scale=True, period_s=period).validate()
+    with pytest.raises(ConfigError, match=f"n = {n} rows"):
+        SimConfig(paper_scale=True, period_s=period + 1).validate()
+    SimConfig(paper_scale=True, period_s=period + 1, n_points=n - 1).validate()

@@ -3,8 +3,8 @@
 Each module uses each name it imports; names listed in its `__all__` count as
 used (re-exports). Each module-level `_private` function, class or constant is
 used by some other statement of its own module. Each public one of src/faultlab
-is used outside the tests, save a short allow-list. Names inside string
-annotations count as used.
+is used outside the tests, save those in an allow-list, which is empty: test
+tools live in tests/oracles.py. Names inside string annotations count as used.
 """
 
 import ast
@@ -20,12 +20,7 @@ CONSUMERS = [*(ROOT / "scripts").glob("*.py"),
              *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
 
 # Public names of src/faultlab that only tests call, each kept on purpose.
-TEST_ONLY_ALLOWED = {
-    "lstm_cell_forward": "the one-step reference oracle of the batched LSTM",
-    "lstm_layer_forward": "the one-sequence reference oracle of the batched LSTM",
-    "check_gradients": "the finite-difference gradient check, a test tool kept in the package",
-    "crossval_10fold": "criterion 8's 10-fold check of the segment classifiers",
-}
+TEST_ONLY_ALLOWED: dict[str, str] = {}
 
 
 def _names(node: ast.AST) -> set[str]:

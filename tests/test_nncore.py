@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,13 +18,12 @@ from faultlab.nncore import (
     DenseParams,
     EarlyStopConfig,
     LstmCellParams,
+    TrainJob,
+    TrainResult,
     adam_step,
-    check_gradients,
     dense_forward_batch,
     load_checkpoint,
-    lstm_cell_forward,
     lstm_forward_batch,
-    lstm_layer_forward,
     mse_loss,
     one_hot_sequences,
     pack,
@@ -36,6 +36,7 @@ from faultlab.nncore import (
 )
 from faultlab.nncore.checkpoint import checkpoint_text
 from faultlab.nncore.layers import dense_backward_batch, lstm_backward_batch
+from oracles import check_gradients, lstm_cell_forward, lstm_layer_forward
 
 
 # --- activations --------------------------------------------------------------
@@ -353,6 +354,51 @@ def test_dense_gradcheck_softmax_jvp():
     assert report.ok(1e-5), report
 
 
+def _lstm_pass_arrays(x, p, dh_seq, dh_last, dc_last):
+    """Every array a forward pass, a cached forward pass and its backward pass give."""
+    hs_plain, _ = lstm_forward_batch(x, p)
+    hs, cache = lstm_forward_batch(x, p, want_cache=True)
+    g = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
+    return [hs_plain, hs, g.w_input, g.w_hidden, g.bias, g.x, g.h0, g.c0]
+
+
+@pytest.mark.parametrize("nd", [1, 3, 5, 32])
+@pytest.mark.parametrize("nb", [1, 2, 5, 9, 10, 16])
+def test_stacked_lstm_matches_per_cell_calls_bit_for_bit(nd, nb):
+    # K cells with a leading model axis give each cell the bytes of its own call
+    rng = np.random.default_rng(100 * nd + nb)
+    k, nt, nh = 3, 5, 32
+    cells = [LstmCellParams.init(rng, nd, nh) for _ in range(k)]
+    for cell in cells:
+        cell.bias[:] = rng.normal(size=4 * nh)
+    xs = rng.normal(size=(k, nb, nt, nd))
+    dh_seq, dh_last, dc_last = (rng.normal(size=s) for s in
+                                [(k, nb, nt, nh), (k, nb, nh), (k, nb, nh)])
+    stacked = _lstm_pass_arrays(xs, LstmCellParams.stack(cells), dh_seq, dh_last, dc_last)
+    for j, cell in enumerate(cells):
+        alone = _lstm_pass_arrays(xs[j], cell, dh_seq[j], dh_last[j], dc_last[j])
+        assert [a.tobytes() for a in alone] == [a[j].tobytes() for a in stacked]
+
+    z = rng.normal(size=(k, nb, 1, nd))  # an input constant over time
+    view = np.broadcast_to(z, (k, nb, nt, nd))
+    hs, _ = lstm_forward_batch(view, LstmCellParams.stack(cells))
+    for j, cell in enumerate(cells):
+        alone, _ = lstm_forward_batch(np.broadcast_to(z[j], (nb, nt, nd)), cell)
+        assert alone.tobytes() == hs[j].tobytes()
+
+
+def test_stacked_lstm_rejects_mismatched_model_axis():
+    rng = np.random.default_rng(3)
+    p = LstmCellParams.stack([LstmCellParams.init(rng, 2, 3) for _ in range(2)])
+    with pytest.raises(ShapeMismatchError, match=r"\(K, B, T, D\)"):
+        lstm_forward_batch(np.zeros((4, 5, 2)), p)
+    with pytest.raises(ShapeMismatchError, match="3 inputs for 2 stacked cells"):
+        lstm_forward_batch(np.zeros((3, 4, 5, 2)), p)
+    _, cache = lstm_forward_batch(np.zeros((2, 4, 5, 2)), p, want_cache=True)
+    with pytest.raises(ShapeMismatchError, match=r"expected \(2, 4, 3\)"):
+        lstm_backward_batch(cache, dh_last=np.zeros((4, 3)))
+
+
 # --- losses -------------------------------------------------------------------
 
 def test_mse_oracle():
@@ -471,8 +517,8 @@ class _Quadratic:
 
 def test_train_converges_on_quadratic():
     model = _Quadratic()
-    result = train(model, lambda rng: [None] * 4, None,
-                   adam=AdamState(alpha=0.05), max_epochs=200)
+    result = train([TrainJob(model, lambda rng: [None] * 4, None,
+                             adam=AdamState(alpha=0.05), max_epochs=200)]).result(0)
     assert abs(model.w[0] - 3.0) < 0.05
     assert result.epochs_run <= 200
     assert result.train_losses[0] > result.best_val_loss
@@ -486,14 +532,14 @@ class _Flat(_Quadratic):
 def test_early_stopping_and_restore():
     model = _Flat()
     early = EarlyStopConfig(patience=3, min_delta=1e-5)
-    result = train(model, lambda rng: [None], None,
-                   adam=AdamState(alpha=0.1), max_epochs=50, early=early)
+    result = train([TrainJob(model, lambda rng: [None], None,
+                             adam=AdamState(alpha=0.1), max_epochs=50, early=early)]).result(0)
     assert result.stopped_early
     assert result.best_epoch == 1
     assert result.epochs_run == early.patience + 2
     # training rewinds to the epoch-1 snapshot
     exp = _Flat()
-    train(exp, lambda rng: [None], None, adam=AdamState(alpha=0.1), max_epochs=1)
+    train([TrainJob(exp, lambda rng: [None], None, adam=AdamState(alpha=0.1), max_epochs=1)])
     assert_allclose(model.w, exp.w, atol=1e-15)
 
 
@@ -504,12 +550,131 @@ class _Diverging(_Quadratic):
 
 def test_train_raises_on_divergence():
     with pytest.raises(TrainingDivergedError):
-        train(_Diverging(), lambda rng: [None], None, max_epochs=3)
+        train([TrainJob(_Diverging(), lambda rng: [None], None, max_epochs=3)]).result(0)
 
 
 def test_train_requires_batches():
     with pytest.raises(ValueError):
-        train(_Quadratic(), lambda rng: [], None, max_epochs=1)
+        train([TrainJob(_Quadratic(), lambda rng: [], None, max_epochs=1)])
+
+
+def _reference_train(job: TrainJob) -> TrainResult:
+    """The one-model loop the group trainer must reproduce for each job."""
+    params = job.model.param_arrays()
+    best_val, best_epoch, best_snapshot, bad = np.inf, 0, None, 0
+    result = TrainResult(epochs_run=0, best_epoch=0, best_val_loss=np.inf)
+    for epoch in range(1, job.max_epochs + 1):
+        losses = []
+        for batch in job.make_batches(job.rng):
+            loss, grads = job.model.loss_and_grads(batch)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            flat = adam_step(job.adam, pack(params), pack(grads))
+            if not np.all(np.isfinite(flat)):
+                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
+            unpack_into(flat, params)
+            losses.append(loss)
+        val = job.model.loss(job.val_batch)
+        result.train_losses.append(float(np.mean(losses)))
+        result.val_losses.append(float(val))
+        result.epochs_run = epoch
+        if val < best_val - job.early.min_delta:
+            best_val, best_epoch, bad, best_snapshot = float(val), epoch, 0, pack(params)
+        else:
+            bad += 1
+            if bad > job.early.patience:
+                result.stopped_early = True
+                break
+    if best_snapshot is not None:
+        unpack_into(best_snapshot, params)
+    result.best_epoch = best_epoch
+    result.best_val_loss = best_val if np.isfinite(best_val) else result.val_losses[-1]
+    return result
+
+
+def _classifier_job(seed: int, n_chunks: int, nd: int = 3, n_out: int = 2,
+                    alpha: float = 1e-2, patience: int = 5, min_delta: float = 1e-5,
+                    max_epochs: int = 4) -> TrainJob:
+    """A task-network-like job: chunks of 6 steps, batches of 4, 2 validation chunks."""
+    from faultlab.cascade import SequenceClassifier
+
+    rng = np.random.default_rng(seed)
+    model = SequenceClassifier.init(rng, nd, 8, n_out)
+    data = np.random.default_rng(seed + 1000)
+    xs = data.normal(size=(n_chunks, 6, nd))
+    ys = data.integers(0, n_out + 1, size=(n_chunks, 6))
+    trn_x, trn_y = xs[:-2], ys[:-2]
+
+    def make_batches(batch_rng):
+        order = batch_rng.permutation(len(trn_x))
+        return [(trn_x[order[i:i + 4]], trn_y[order[i:i + 4]]) for i in range(0, len(order), 4)]
+
+    return TrainJob(model, make_batches, (xs[-2:], ys[-2:]), adam=AdamState(alpha=alpha),
+                    max_epochs=max_epochs, early=EarlyStopConfig(patience, min_delta), rng=rng)
+
+
+def _outcome_bytes(job: TrainJob, outcome) -> tuple:
+    params = tuple(a.tobytes() for a in job.model.param_arrays())
+    if isinstance(outcome, TrainingDivergedError):
+        return params, "diverged", str(outcome)
+    return params, tuple((name, np.asarray(value).tobytes())
+                         for name, value in dataclasses.asdict(outcome).items())
+
+
+GROUPS = {
+    # 9, 12 and 18 training chunks: 3, 3 and 5 batches, last batches of 1, 4 and 2
+    "unequal decks": [dict(seed=1, n_chunks=11), dict(seed=2, n_chunks=14),
+                      dict(seed=3, n_chunks=20), dict(seed=4, n_chunks=20, nd=5, n_out=12)],
+    # no validation gain can clear min_delta: it stops after epoch 2 of 4
+    "early stop": [dict(seed=5, n_chunks=14), dict(seed=6, n_chunks=14, patience=0,
+                                                   min_delta=1e9),
+                   dict(seed=7, n_chunks=14)],
+    # steps of size 1e308 overflow the parameters at once
+    "divergence": [dict(seed=8, n_chunks=14), dict(seed=9, n_chunks=14, alpha=1e308),
+                   dict(seed=10, n_chunks=14)],
+    "one model": [dict(seed=11, n_chunks=13)],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging model's overflow
+@pytest.mark.parametrize("case", GROUPS)
+def test_group_training_matches_one_model_runs(case, monkeypatch):
+    from faultlab.cascade import SequenceClassifier
+
+    sizes = []
+    group_losses = SequenceClassifier.group_losses
+
+    def counting(models, batches, want_grads):
+        sizes.append(len(models))
+        return group_losses(models, batches, want_grads)
+
+    monkeypatch.setattr(SequenceClassifier, "group_losses", staticmethod(counting))
+    specs = GROUPS[case]
+    group = [_classifier_job(**spec) for spec in specs]
+    grouped = train(group)
+    assert (max(sizes) > 1) == (len(specs) > 1)  # models really ran stacked
+
+    for spec, job, outcome in zip(specs, group, grouped):
+        alone_job = _classifier_job(**spec)
+        alone = train([alone_job])[0]
+        assert _outcome_bytes(job, outcome) == _outcome_bytes(alone_job, alone)
+        reference_job = _classifier_job(**spec)
+        try:
+            reference = _reference_train(reference_job)
+        except TrainingDivergedError as exc:
+            reference = exc
+        assert _outcome_bytes(job, outcome) == _outcome_bytes(reference_job, reference)
+
+    epochs = [r.epochs_run for r in grouped if isinstance(r, TrainResult)]
+    assert grouped.epochs_run == sum(epochs)
+    if case == "early stop":
+        assert [r.stopped_early for r in grouped] == [False, True, False]
+        assert epochs == [4, 2, 4] and grouped.stopped_early == 1
+    if case == "divergence":
+        assert isinstance(grouped[1], TrainingDivergedError)
+        with pytest.raises(TrainingDivergedError):
+            grouped.result(1)
+        assert grouped.result(0).epochs_run == 4
 
 
 # --- checkpoints --------------------------------------------------------------

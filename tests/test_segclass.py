@@ -11,11 +11,9 @@ from faultlab.segclass import (
     KINDS,
     ClassifierModel,
     WindowFeatures,
-    crossval_10fold,
     from_checkpoint,
     predict_batch,
     scores_batch,
-    stratified_folds,
     to_checkpoint,
     train_classifier,
     window_stats,
@@ -23,6 +21,7 @@ from faultlab.segclass import (
 )
 from faultlab.segclass import _LinearImpl
 from faultlab.simgen import TimeSeriesDataset
+from oracles import crossval_10fold, stratified_folds
 
 
 def make_blobs(seed=0, n_per=60, d=15):
