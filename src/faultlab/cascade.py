@@ -405,6 +405,10 @@ def variant_stages(variant: str) -> Stages:
 
 @dataclass
 class SmtcnnModels:
+    """One variant's trained models. `seg_model` and `seg_cfg` act only in
+    training (task 3's warm start): `save_models` writes them as a record that
+    is never read back, so `load_models` leaves both None."""
+
     variant: str
     autoencoder: LstmAutoencoder | None
     threshold: ThresholdSpec | None
@@ -413,7 +417,7 @@ class SmtcnnModels:
     task3: SequenceClassifier
     std: Standardizer
     cpd_cfg: CpdConfig
-    seg_cfg: SegclassConfig
+    seg_cfg: SegclassConfig | None
     chunk_len: int = 64
 
     def __post_init__(self):
@@ -493,12 +497,11 @@ def save_models(models: SmtcnnModels, out_dir) -> None:
                     out / "task2.json")
     save_checkpoint(models.task3.to_checkpoint("task3", {"variant": models.variant}),
                     out / "task3.json")
-    manifest = Checkpoint(
-        kind="smtcnn_manifest",
-        meta={"variant": models.variant, "chunk_len": models.chunk_len,
-              "seg_window": models.seg_cfg.window, "seg_stride": models.seg_cfg.stride},
-        arrays={"std_mu": models.std.mu, "std_sd": models.std.sd},
-    )
+    meta = {"variant": models.variant, "chunk_len": models.chunk_len}
+    if models.seg_cfg is not None:  # loaded models keep no record to write back
+        meta.update(seg_window=models.seg_cfg.window, seg_stride=models.seg_cfg.stride)
+    manifest = Checkpoint(kind="smtcnn_manifest", meta=meta,
+                          arrays={"std_mu": models.std.mu, "std_sd": models.std.sd})
     save_checkpoint(manifest, out / "manifest.json")
 
 
@@ -507,11 +510,10 @@ def load_models(model_dir) -> SmtcnnModels:
 
     from .errors import ConfigError
     from .nncore import load_checkpoint
-    from .segclass import from_checkpoint as seg_from_checkpoint
 
     d = Path(model_dir)
 
-    def load(name: str, kind: str | None, parse):
+    def load(name: str, kind: str, parse):
         path = d / f"{name}.json"
         if not path.exists():
             raise ConfigError(f"missing model file: {path}")
@@ -523,14 +525,12 @@ def load_models(model_dir) -> SmtcnnModels:
             raise ConfigError(f"{path}: {exc}") from None
 
     def parse_manifest(m: Checkpoint):
-        seg_cfg = SegclassConfig(window=m.meta["seg_window"], stride=m.meta["seg_stride"])
-        seg_cfg.validate()
         chunk_len = m.meta["chunk_len"]
         TaskNetConfig(chunk_len=chunk_len).validate()
         std = Standardizer(m.arrays["std_mu"], m.arrays["std_sd"])
         std.validate(N_CHANNELS)
         variant = m.meta["variant"]
-        return variant, variant_stages(variant), chunk_len, seg_cfg, std
+        return variant, variant_stages(variant), chunk_len, std
 
     def parse_cpd(ckpt: Checkpoint):
         cpd_cfg = CpdConfig(window=ckpt.meta["window"], min_gap=ckpt.meta["min_gap"],
@@ -541,17 +541,15 @@ def load_models(model_dir) -> SmtcnnModels:
         threshold = ThresholdSpec(mu=t["mu"], sigma=t["sigma"], k=t["k"], tau=t["tau"])
         return auto, threshold, cpd_cfg
 
-    variant, use, chunk_len, seg_cfg, std = load("manifest", "smtcnn_manifest", parse_manifest)
-    auto = threshold = seg_model = None
+    variant, use, chunk_len, std = load("manifest", "smtcnn_manifest", parse_manifest)
+    auto = threshold = None
     cpd_cfg = CpdConfig()
     if use.cpd:
         auto, threshold, cpd_cfg = load("cpd", "lstm_autoencoder", parse_cpd)
-    if use.segclass and (d / "segclass.json").exists():
-        seg_model = load("segclass", None, seg_from_checkpoint)
 
     return SmtcnnModels(
-        variant=variant, autoencoder=auto, threshold=threshold, seg_model=seg_model,
+        variant=variant, autoencoder=auto, threshold=threshold, seg_model=None,
         task2=load("task2", "task2", SequenceClassifier.from_checkpoint),
         task3=load("task3", "task3", SequenceClassifier.from_checkpoint),
-        std=std, cpd_cfg=cpd_cfg, seg_cfg=seg_cfg, chunk_len=chunk_len,
+        std=std, cpd_cfg=cpd_cfg, seg_cfg=None, chunk_len=chunk_len,
     )

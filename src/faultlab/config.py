@@ -18,6 +18,9 @@ from typing import Any
 from .errors import ConfigError
 
 REGIMES = ("anomaly_only", "normal_only", "mixed")
+# The segment classifier kinds (see segclass).
+KINDS = ("decision_tree", "random_forest", "naive_bayes",
+         "logistic_regression", "sgd_linear", "linear_svm")
 
 # Desk-scale defaults; the paper-scale sizes sit behind SimConfig.paper_scale.
 DESK_SIZES = {"anomaly_only": 8432, "normal_only": 50000, "mixed": 50000}
@@ -36,7 +39,13 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that is finite as a float64; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float64 range
+        return False
 
 
 def _is_int(value: Any) -> bool:
@@ -214,6 +223,8 @@ class CpdConfig:
         _check_ints(self, 0, "patience", "min_gap", "min_len")
         _check_fraction("val_frac", self.val_frac)
         _check(_is_number(self.k) and self.k >= 0, f"k must be a number >= 0, got {self.k!r}")
+        _check_numbers(self, 0.0, "lr", strict=True)
+        _check_numbers(self, 0.0, "min_delta")
 
 
 @dataclass
@@ -240,6 +251,7 @@ class SegclassConfig:
     prior_smoothing_frac: float = 0.0407
 
     def validate(self) -> None:
+        _check(self.kind in KINDS, f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         _check_ints(self, 1, "window", "stride", "rf_trees")
         _check_ints(self, 0, "dt_max_depth", "dt_min_leaf", "linear_epochs", "logreg_epochs",
                     "svm_epochs")
@@ -283,6 +295,8 @@ class TaskNetConfig:
                f"chunk_len must be <= {MAX_CHUNK_LEN}, got {self.chunk_len}")
         _check_ints(self, 0, "patience")
         _check_fraction("val_frac", self.val_frac)
+        _check_numbers(self, 0.0, "lr", strict=True)
+        _check_numbers(self, 0.0, "min_delta")
         if self.rebalance_frac is not None:
             _check_fraction("rebalance_frac", self.rebalance_frac)
 

@@ -147,14 +147,6 @@ class LstmCellParams:
             bias=np.zeros(4 * hidden_size),
         )
 
-    @classmethod
-    def zeros(cls, input_size: int, hidden_size: int) -> "LstmCellParams":
-        return cls(
-            w_input=np.zeros((4 * hidden_size, input_size)),
-            w_hidden=np.zeros((4 * hidden_size, hidden_size)),
-            bias=np.zeros(4 * hidden_size),
-        )
-
 
 @dataclass
 class DenseParams:

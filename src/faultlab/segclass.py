@@ -15,14 +15,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import SegclassConfig
+from .config import KINDS, SegclassConfig
 from .errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
 from .nncore import Checkpoint, Standardizer
 from .nncore.layers import softmax
 from .simgen import TimeSeriesDataset
-
-KINDS = ("decision_tree", "random_forest", "naive_bayes",
-         "logistic_regression", "sgd_linear", "linear_svm")
 
 CHANNEL_NAMES = ("energy", "cpu", "duration")
 STAT_NAMES = ("mean", "std", "min", "max", "slope")
@@ -100,24 +97,6 @@ class _Tree:
     left: np.ndarray   # (n,) int64
     right: np.ndarray  # (n,) int64
     dist: np.ndarray   # (n, C) float
-
-    def validate(self, n_classes: int) -> None:
-        """Checks a loaded tree; child ids above the parent's make routing end."""
-        n = len(self.feat)
-        if (n == 0 or self.dist.shape != (n, n_classes)
-                or any(a.shape != (n,) for a in (self.feat, self.thr, self.left, self.right))):
-            raise ShapeMismatchError(
-                f"tree arrays must hold {n} nodes and dist {n_classes} classes")
-        if not all(np.issubdtype(a.dtype, np.integer) for a in (self.feat, self.left, self.right)):
-            raise InvariantViolation("tree feat, left and right must be integers")
-        ids = np.arange(n)
-        inner = self.left != -1
-        leaf_ok = (self.right == -1) & (self.feat == -1) & (self.thr == 0.0)
-        inner_ok = ((self.left > ids) & (self.left < n) & (self.right > ids) & (self.right < n)
-                    & (self.feat >= 0) & (self.feat < len(FEATURE_NAMES)))
-        bad = np.nonzero(np.where(inner, ~inner_ok, ~leaf_ok))[0]
-        if len(bad):
-            raise InvariantViolation(f"tree node {bad[0]} has bad feat/thr/left/right")
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -374,37 +353,3 @@ def to_checkpoint(model: ClassifierModel) -> Checkpoint:
     else:
         arrays.update(w=impl.w, b=impl.b, mu=impl.std.mu, sd=impl.std.sd)
     return Checkpoint(kind="segclass", meta=meta, arrays=arrays)
-
-
-def _expect_shapes(**named: tuple[np.ndarray, tuple[int, ...]]) -> None:
-    for name, (arr, shape) in named.items():
-        if arr.shape != shape:
-            raise ShapeMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
-
-
-def from_checkpoint(ckpt: Checkpoint) -> ClassifierModel:
-    """Rebuild a model; malformed arrays raise a ValueError subclass."""
-    kind = ckpt.meta["kind"]
-    if kind not in KINDS:
-        raise InvariantViolation(f"unknown classifier kind {kind!r}")
-    arrays = ckpt.arrays
-    classes = arrays["classes"]
-    c, d = len(classes), len(FEATURE_NAMES)
-    _expect_shapes(classes=(classes, (c,)))
-    if kind in ("decision_tree", "random_forest"):
-        trees = [_Tree(**{f.name: arrays[f"t{i}_{f.name}"] for f in fields(_Tree)})
-                 for i in range(ckpt.meta["n_trees"])]
-        if not trees:
-            raise InvariantViolation("a forest needs at least one tree")
-        for tree in trees:
-            tree.validate(c)
-        impl: object = _ForestImpl(trees)
-    elif kind == "naive_bayes":
-        impl = _NbImpl(arrays["mu"], arrays["var"], arrays["log_prior"])
-        _expect_shapes(mu=(impl.mu, (c, d)), var=(impl.var, (c, d)),
-                       log_prior=(impl.log_prior, (c,)))
-    else:
-        impl = _LinearImpl(arrays["w"], arrays["b"], Standardizer(arrays["mu"], arrays["sd"]))
-        _expect_shapes(w=(impl.w, (c, d)), b=(impl.b, (c,)))
-        impl.std.validate(d)
-    return ClassifierModel(kind=kind, classes=classes, impl=impl)

@@ -281,11 +281,14 @@ def test_save_load_round_trip(tmp_path, variant, with_seg):
     assert (out / "segclass.json").exists() == with_seg
     loaded = load_models(out)
     assert loaded.variant == variant
+    assert loaded.seg_model is None and loaded.seg_cfg is None  # never read back
     assert loaded.chunk_len == models.chunk_len
     x = np.random.default_rng(7).normal(size=(16, 3))
     a = smtcnn_infer(x, models)
     b = smtcnn_infer(x, loaded)
     assert np.array_equal(a.probs, b.probs)
+    save_models(loaded, tmp_path / "again")  # the record stays behind
+    assert np.array_equal(smtcnn_infer(x, load_models(tmp_path / "again")).probs, a.probs)
 
 
 def test_load_models_missing_files(tmp_path):

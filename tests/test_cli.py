@@ -157,6 +157,14 @@ def test_out_of_memory_exits_1(tmp_path, capsys):
     ("seg", "rf_trees", 2.5),
     ("seg", "rf_feature_frac", 0.0),
     ("seg", "svm_lambda", 0.0),
+    ("seg", "kind", "xgboost"),
+    ("cpd", "lr", 0),                       # would train a no-op autoencoder
+    ("cpd", "min_delta", "x"),
+    ("task2", "lr", "x"),
+    ("task3", "min_delta", None),
+    ("task3", "min_delta", -1e-5),
+    ("sim", "energy_noise", math.inf),      # once blamed on the generated rows
+    ("sim", "energy_base", [10.5, 12.0, 9.0, math.nan]),
     ("task2", "chunk_len", 32),             # task 3 and the manifest keep 64
     ("", "seed", "x"),                      # "" is the config root
     ("", "seed", 1.5),
@@ -196,8 +204,6 @@ def test_missing_model_dir_exits_2(tmp_path, capsys):
     (None, None, None),
     ("manifest", "meta", "variant"),
     ("manifest", "meta", "chunk_len"),
-    ("manifest", "meta", "seg_window"),
-    ("manifest", "meta", "seg_stride"),
     ("manifest", "arrays", "std_mu"),
     ("manifest", "arrays", "std_sd"),
     ("cpd", "meta", "threshold"),
@@ -235,26 +241,13 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
     ("cpd", ("arrays", "dec_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
     ("manifest", ("arrays", "std_mu"), {"dtype": "f8", "shape": [2], "data": [0.0] * 2}),
     ("cpd", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}),
-    ("segclass", ("arrays", "t0_left", "data", 0), 1000000),
-    ("segclass", ("arrays", "t0_left", "data", 0), 0),
-    ("segclass", ("arrays", "t1_right", "data", 0), -1),
-    ("segclass", ("arrays", "t0_feat", "data", 0), 15),
-    ("segclass", ("arrays", "t0_thr", "data", -1), 0.5),   # the last node is a leaf
-    ("segclass", ("arrays", "t0_left"), {"dtype": "f8", "shape": [1], "data": [1.0]}),
-    ("segclass", ("arrays", "classes"), {"dtype": "i8", "shape": [4], "data": [2, 5, 9, 11]}),
-    ("segclass", ("meta", "n_trees"), 0),
-    ("segclass", ("meta", "kind"), "xgboost"),
-], ids=["chunk_len-str", "variant-unknown", "variant-list", "threshold_mu-str", "l1_wh-2x2", "l1_wh-1d", "head_w-2x2",
-        "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero", "tree_left-outside", "tree_left-loop",
-        "tree_right-missing", "tree_feat-16th", "tree_thr-on-leaf", "tree_left-float",
-        "tree_dist-width", "n_trees-zero", "seg_kind-unknown"])
+], ids=["chunk_len-str", "variant-unknown", "variant-list", "threshold_mu-str", "l1_wh-2x2",
+        "l1_wh-1d", "head_w-2x2", "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero"])
 def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
     series = tmp_path / "s.csv"
     run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
     models = tmp_path / "models"
-    forest = train_classifier("random_forest", make_blobs(n_per=10),
-                              SegclassConfig(rf_trees=2), seed=0)
-    save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), models)
+    save_models(tiny_models("full"), models)
     path = models / f"{file}.json"
     doc = json.loads(path.read_text())
     node = doc
@@ -267,6 +260,37 @@ def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and f"{file}.json" in err
+
+
+def _drop_seg_fields(models: Path) -> None:
+    doc = json.loads((models / "manifest.json").read_text())
+    del doc["meta"]["seg_window"], doc["meta"]["seg_stride"]
+    (models / "manifest.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda m: (m / "segclass.json").unlink(),
+    lambda m: (m / "segclass.json").write_bytes(b"\xff{ not json"),
+    _drop_seg_fields,
+], ids=["segclass-deleted", "segclass-junk", "manifest-without-seg-fields"])
+@pytest.mark.parametrize("variant", ["full", "b2_no_cpd"])
+def test_infer_ignores_the_segment_classifier_record(tmp_path, capsys, variant, damage):
+    """segclass.json and the manifest's seg_window/seg_stride only record the
+    warm start's inputs: infer reads neither, whatever they hold."""
+    series = tmp_path / "s.csv"
+    run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
+    preds = []
+    for name in ("intact", "damaged"):
+        models = tmp_path / name
+        save_models(tiny_models(variant, with_seg=True), models)
+        if name == "damaged":
+            damage(models)
+        pred = tmp_path / f"{name}.csv"
+        assert run("infer", "--models", str(models), "--in", str(series),
+                   "--out", str(pred)) == 0
+        preds.append(pred.read_bytes())
+    assert preds[0] == preds[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("find,replace", [

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,47 @@ def test_sim_validate_timestamp_span_uses_the_longest_regime():
     with pytest.raises(ConfigError, match=f"n = {n} rows"):
         SimConfig(paper_scale=True, period_s=period + 1).validate()
     SimConfig(paper_scale=True, period_s=period + 1, n_points=n - 1).validate()
+
+
+def _leaves(node, path=()):
+    """Every scalar of a JSON document with its path, list items included."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path
+
+
+NULLABLE = {("sim", "n_points"), ("sim", "mixed_classes"), ("seg", "rf_feature_frac"),
+            ("task2", "rebalance_frac"), ("task3", "rebalance_frac")}
+
+
+@pytest.mark.parametrize("value", ["x", math.nan, math.inf, -math.inf, 2**1024, None],
+                         ids=["str", "nan", "inf", "-inf", "2**1024", "null"])
+def test_every_config_leaf_rejects_a_wrong_value(tmp_path, value):
+    """Setting any one leaf of the default config to a string, a number that
+    is not finite as a float64 or null is a ConfigError, save `out_dir` (a
+    string), the seeds (stage seeds hash any integer) and the leaves whose null
+    means a default."""
+    path = tmp_path / "run.json"
+    save_run_config(RunConfig(), path)
+    text = path.read_text()
+    accepted = []
+    for leaf in _leaves(json.loads(text)):
+        mutated = json.loads(text)
+        node = mutated
+        for step in leaf[:-1]:
+            node = node[step]
+        node[leaf[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutated))
+        try:
+            load_run_config(bad)
+        except ConfigError:
+            continue
+        accepted.append(leaf)
+    want = {"x": [("out_dir",)], 2**1024: [("seed",), ("sim", "seed")], None: sorted(NULLABLE)}
+    assert sorted(accepted) == want.get(value, [])

@@ -5,6 +5,7 @@ used (re-exports). Each module-level `_private` function, class or constant is
 used by some other statement of its own module. Each public one of src/faultlab
 is used outside the tests, save those in an allow-list, which is empty: test
 tools live in tests/oracles.py. Names inside string annotations count as used.
+So is each public method of a src/faultlab class.
 """
 
 import ast
@@ -154,3 +155,67 @@ def test_public_names_have_callers_outside_tests():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     found = public_names_only_tests_use(package, [p.read_text() for p in CONSUMERS])
     assert sorted(f.rsplit(": ", 1)[1] for f in found) == sorted(TEST_ONLY_ALLOWED), found
+
+
+def _member_refs(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names a method could be reached by in `node`, outside `skip`: attribute
+    names not rooted at numpy, keyword argument names and string constants."""
+    refs: set[str] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Attribute):
+            root = n.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in ("np", "numpy")):
+                refs.add(n.attr)
+        elif isinstance(n, ast.keyword) and n.arg:
+            refs.add(n.arg)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.add(n.value)
+        stack.extend(ast.iter_child_nodes(n))
+    return refs
+
+
+def public_methods_only_tests_use(package: dict[str, str], consumers: list[str]) -> list[str]:
+    """Public methods of `package`'s classes (path -> source) whose name no code
+    outside the tests and outside the method itself reaches (see `_member_refs`)."""
+    trees = {path: ast.parse(src) for path, src in package.items()}
+    outside = set().union(*(_member_refs(ast.parse(src)) for src in consumers))
+    found = []
+    for path, tree in trees.items():
+        elsewhere = outside.union(*(_member_refs(t) for p, t in trees.items() if p != path))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_")
+                        and fn.name not in elsewhere | _member_refs(tree, skip=fn)):
+                    found.append(f"{path} line {fn.lineno}: {cls.name}.{fn.name}")
+    return found
+
+
+def test_scanner_finds_test_only_methods():
+    package = {
+        "pkg/a.py": ('import numpy as np\n'
+                     'class Cell:\n'
+                     '    def zeros(self): return np.zeros(3)\n'
+                     '    def loop(self): return self.loop()\n'
+                     '    def run(self): return self.by_name\n'
+                     '    def by_name(self): pass\n'
+                     '    def by_kw(self): pass\n'
+                     '    def by_str(self): pass\n'
+                     '    def _private(self): pass\n'
+                     '    def __len__(self): return 0\n'),
+        "pkg/b.py": ('from .a import Cell\n'
+                     'def go(c: Cell): return c.run(), dict(by_kw=1), getattr(c, "by_str")\n'),
+    }
+    assert public_methods_only_tests_use(package, []) == [
+        "pkg/a.py line 3: Cell.zeros", "pkg/a.py line 4: Cell.loop"]
+
+
+def test_public_methods_have_callers_outside_tests():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert public_methods_only_tests_use(package, [p.read_text() for p in CONSUMERS]) == []

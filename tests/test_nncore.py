@@ -113,10 +113,15 @@ def test_softmax_handles_extreme_logits():
 
 # --- LSTM cell ----------------------------------------------------------------
 
+def _zero_cell(input_size: int, hidden_size: int) -> LstmCellParams:
+    return LstmCellParams(np.zeros((4 * hidden_size, input_size)),
+                          np.zeros((4 * hidden_size, hidden_size)), np.zeros(4 * hidden_size))
+
+
 def test_lstm_zero_params_oracle():
     # all-zero weights: every gate is sigmoid(0)=0.5, g=tanh(0)=0, so
     # c' = 0.5*c and h' = 0.5*tanh(c'). With c=1: h' = 0.5*tanh(0.5).
-    p = LstmCellParams.zeros(2, 3)
+    p = _zero_cell(2, 3)
     h, c = lstm_cell_forward(np.zeros(2), np.zeros(3), np.ones(3), p)
     assert_allclose(c, 0.5, rtol=0, atol=1e-15)
     assert_allclose(h, 0.23105857863000487, rtol=0, atol=1e-15)
@@ -125,7 +130,7 @@ def test_lstm_zero_params_oracle():
 def test_lstm_gate_order_is_ifgo():
     # a huge forget-gate bias (second block of rows) must preserve the cell
     # state exactly; any other gate layout would scale or overwrite it.
-    p = LstmCellParams.zeros(1, 2)
+    p = _zero_cell(1, 2)
     p.bias[2:4] = 50.0
     c0 = np.array([0.7, -1.2])
     h, c = lstm_cell_forward(np.zeros(1), np.zeros(2), c0, p)
@@ -134,7 +139,7 @@ def test_lstm_gate_order_is_ifgo():
 
 
 def test_lstm_cell_shape_errors():
-    p = LstmCellParams.zeros(2, 3)
+    p = _zero_cell(2, 3)
     with pytest.raises(ShapeMismatchError):
         lstm_cell_forward(np.zeros(3), np.zeros(3), np.zeros(3), p)
 

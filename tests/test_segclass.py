@@ -11,7 +11,6 @@ from faultlab.segclass import (
     KINDS,
     ClassifierModel,
     WindowFeatures,
-    from_checkpoint,
     predict_batch,
     scores_batch,
     to_checkpoint,
@@ -184,14 +183,16 @@ def test_linear_scores_match_formula(blobs):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_checkpoint_round_trip(kind, blobs, tmp_path):
-    model = train_classifier(kind, blobs, seed=6)
+    # nothing in the product reads the file back; criterion 8 re-scores its raw arrays
+    ckpt = to_checkpoint(train_classifier(kind, blobs, seed=6))
     path = tmp_path / f"{kind}.json"
-    save_checkpoint(to_checkpoint(model), path)
-    clone = from_checkpoint(load_checkpoint(path))
-    assert clone.kind == kind
-    assert np.array_equal(clone.classes, model.classes)
-    probe = blobs.features[::7]
-    assert np.array_equal(scores_batch(clone, probe), scores_batch(model, probe))
+    save_checkpoint(ckpt, path)
+    back = load_checkpoint(path, expect_kind="segclass")
+    assert back.meta == ckpt.meta
+    assert sorted(back.arrays) == sorted(ckpt.arrays)
+    for name, arr in ckpt.arrays.items():
+        got = back.arrays[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes()), name
 
 
 def _column_rows(col, values, labels):
@@ -241,23 +242,6 @@ def test_forest_trees_are_preorder_arrays(blobs):
         assert np.all(tree.thr[leaf] == 0.0)
         assert np.all(tree.dist[~leaf] == 0.0)
         assert np.allclose(tree.dist[leaf].sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind,name,value", [
-    ("naive_bayes", "mu", np.zeros((3, 14))),
-    ("naive_bayes", "var", np.ones((2, 15))),
-    ("naive_bayes", "log_prior", np.zeros((3, 1))),
-    ("logistic_regression", "w", np.zeros((3, 14))),
-    ("sgd_linear", "b", np.zeros(2)),
-    ("linear_svm", "mu", np.zeros(14)),
-    ("linear_svm", "sd", np.zeros(15)),
-    ("decision_tree", "t0_dist", np.zeros((1, 3))),
-])
-def test_from_checkpoint_rejects_malformed_arrays(kind, name, value, blobs):
-    ckpt = to_checkpoint(train_classifier(kind, blobs, seed=0))
-    ckpt.arrays[name] = value
-    with pytest.raises(ValueError):
-        from_checkpoint(ckpt)
 
 
 # --- cross-validation -------------------------------------------------------
