@@ -100,7 +100,7 @@ def lstm_case(role: str, nd: int, nh: int, nt: int, nb: int, backward: bool,
             return [L.lstm_forward_batch(x, p)[0]]
         hs, cache = L.lstm_forward_batch(x, p, want_cache=True)
         g = L.lstm_backward_batch(cache, d_seq, dh_last=d_last, want_dx=want_dx)
-        return [hs, g.w_input, g.w_hidden, g.bias, g.h0, g.c0] + ([g.x] if want_dx else [])
+        return [hs, g.w_input, g.w_hidden, g.bias] + ([g.x] if want_dx else [])
 
     what = "forward+backward" if backward else "forward"
     return f"{role} {nd}->{nh} T={nt} B={nb} {what}", run
@@ -118,7 +118,7 @@ def stacked_case(role: str, nd: int, nh: int, nt: int, nb: int, k: int, want_dx:
     d_seqs = [rng.normal(size=(nb, nt, nh)) for _ in range(k)]
 
     def arrays(hs, g):
-        return [hs, g.w_input, g.w_hidden, g.bias, g.h0, g.c0] + ([g.x] if want_dx else [])
+        return [hs, g.w_input, g.w_hidden, g.bias] + ([g.x] if want_dx else [])
 
     def run(L):
         if L is work_layers:

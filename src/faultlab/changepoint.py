@@ -33,6 +33,7 @@ from .nncore.layers import dense_backward_batch, lstm_backward_batch, lstm_forwa
 from .simgen import TimeSeriesDataset
 
 N_CHANNELS = 3
+SCORE_BATCH = 4096  # windows per forward pass of reconstruction_errors
 
 
 @dataclass
@@ -231,22 +232,21 @@ def train_autoencoder(normal: TimeSeriesDataset, cfg: CpdConfig,
     return model
 
 
-def reconstruction_errors(model: LstmAutoencoder, series,
-                          batch: int = 4096) -> np.ndarray:
+def reconstruction_errors(model: LstmAutoencoder, series) -> np.ndarray:
     """Per-window MSE in standardized space; length T - W + 1, stride 1."""
     x = as_features(series)
     windows = sliding_windows(x, model.window)
     out = np.empty(len(windows))
     std = model.std
-    for i in range(0, len(windows), batch):
+    for i in range(0, len(windows), SCORE_BATCH):
         # the same (x - mu) / sd and (recon - x)^2 as Standardizer.apply and
         # the plain MSE, computed in the batch's own buffers
-        chunk = np.subtract(windows[i:i + batch], std.mu, order="C")
+        chunk = np.subtract(windows[i:i + SCORE_BATCH], std.mu, order="C")
         chunk /= std.sd
         diff, _ = model._forward(chunk, want_cache=False)
         diff -= chunk
         diff *= diff
-        out[i:i + batch] = np.mean(diff, axis=(1, 2))
+        out[i:i + SCORE_BATCH] = np.mean(diff, axis=(1, 2))
     return out
 
 

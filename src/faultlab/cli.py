@@ -1,16 +1,18 @@
 """faultlab command line: generation, training, inference, evaluation.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-The global seed comes from --seed, falling back to the FAULTLAB_SEED
-environment variable and then to the config file.
+The global seed comes from --seed, else the config file, else 0. A bad
+--out fails before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -25,27 +27,28 @@ VARIANT_ALIASES = {"b2": "b2_no_cpd", "b3": "b3_no_segclass", "full": "full",
                    "b2_no_cpd": "b2_no_cpd", "b3_no_segclass": "b3_no_segclass"}
 
 
-def _resolve_seed(arg_seed: int | None, cfg: RunConfig) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get("FAULTLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"FAULTLAB_SEED is not an integer: {env!r}") from exc
-    return cfg.seed
-
-
 def _load_cfg(args) -> RunConfig:
-    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    cfg.seed = _resolve_seed(getattr(args, "seed", None), cfg)
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    cfg.seed = cfg.seed if args.seed is None else args.seed
     cfg.sim.seed = cfg.seed
     return cfg
 
 
+def _check_out_file(path: str) -> None:
+    """Raise the OSError that writing the file `path` would raise for a missing
+    parent directory or a directory in its place, before any work is done."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
+    _check_out_file(args.out)
     regime = REGIME_ALIASES[args.regime]
     sim = dataclasses.replace(cfg.sim)
     if args.len is not None:
@@ -68,6 +71,7 @@ def cmd_train_smtcnn(args) -> int:
     from .experiment import build_assets, train_whole
 
     cfg = _load_cfg(args)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     variant = VARIANT_ALIASES[args.ablation] if args.ablation else "full"
     datasets = {"mixed": read_csv(args.mixed), "normal_only": read_csv(args.normal),
                 "anomaly_only": read_csv(args.anomaly)}
@@ -80,6 +84,7 @@ def cmd_infer(args) -> int:
     from .cascade import load_models, smtcnn_infer
     from .simgen import NO_FAULT
 
+    _check_out_file(args.out)
     series = read_csv(getattr(args, "in"))
     models = load_models(args.models)
     pred = smtcnn_infer(series, models)
@@ -113,6 +118,7 @@ def cmd_eval(args) -> int:
     plan_seed = args.plan_seed if args.plan_seed is not None else cfg.stage_seed("seqcv")
     if plan_seed < 0:
         raise ConfigError(f"--plan-seed must be >= 0, got {plan_seed}")
+    _check_out_file(args.out)
     assets = _stage("assets", lambda: build_assets(cfg, variants=variants))
     plan = seq_cv_plan(len(assets.mixed), folds=cfg.plan.folds, seed=plan_seed,
                        lo=cfg.plan.len_frac_lo, hi=cfg.plan.len_frac_hi)
@@ -155,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="global seed (default: FAULTLAB_SEED or config)")
+                        help="global seed (default: the config's seed, else 0)")
     common.add_argument("--config", default=None, help="run config JSON")
 
     p = sub.add_parser("gen", parents=[common], help="generate a telemetry CSV")

@@ -369,6 +369,8 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):

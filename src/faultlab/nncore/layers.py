@@ -196,8 +196,6 @@ class LstmCache:
     c: np.ndarray        # (T, B, H) cell state after each step
     tanh_c: np.ndarray   # (T, B, H) tanh of c
     h: np.ndarray        # (B, T, H) hidden outputs
-    h0: np.ndarray       # (B, H)
-    c0: np.ndarray       # (B, H)
     params: LstmCellParams
 
 
@@ -207,18 +205,14 @@ class LstmGrads:
     w_hidden: np.ndarray
     bias: np.ndarray
     x: np.ndarray | None  # gradient w.r.t. the input sequence, None if not asked for
-    h0: np.ndarray
-    c0: np.ndarray
 
 
 def lstm_forward_batch(
     x: np.ndarray,
     p: LstmCellParams,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
     want_cache: bool = False,
 ) -> tuple[np.ndarray, LstmCache | None]:
-    """Run an LSTM over a batch of sequences.
+    """Run an LSTM over a batch of sequences, each from a zero state.
 
     x: (B, T, D) -> hidden outputs (B, T, H), or (K, B, T, D) -> (K, B, T, H)
     for K stacked cells. A zero-stride time axis marks an input that is
@@ -236,10 +230,7 @@ def lstm_forward_batch(
     if nd != p.input_size:
         raise ShapeMismatchError(f"input dim {nd} != layer input size {p.input_size}")
     nh = p.hidden_size
-    h_prev = np.zeros(lead + (nh,)) if h0 is None else h0
-    c_prev = np.zeros(lead + (nh,)) if c0 is None else c0
-    if h_prev.shape != lead + (nh,) or c_prev.shape != lead + (nh,):
-        raise ShapeMismatchError("initial state shape mismatch")
+    h_prev = c_prev = np.zeros(lead + (nh,))
 
     # Weights permuted to [i|f|o|g] rows; the transposed views keep the
     # layout of p.w_*.T.
@@ -255,7 +246,6 @@ def lstm_forward_batch(
     hs = np.empty(lead + (nt, nh))
     if want_cache:
         gi, gf, gg, go, cs, tcs = (np.empty((nt,) + lead + (nh,)) for _ in range(6))
-    h0_saved, c0_saved = h_prev, c_prev
 
     for t in range(nt):
         # (x W_x^T + h W_h^T) + b and f c + i g, summed in place; the sums
@@ -276,7 +266,7 @@ def lstm_forward_batch(
 
     cache = None
     if want_cache:
-        cache = LstmCache(x, gi, gf, gg, go, cs, tcs, hs, h0_saved, c0_saved, p)
+        cache = LstmCache(x, gi, gf, gg, go, cs, tcs, hs, p)
     return hs, cache
 
 
@@ -284,25 +274,23 @@ def lstm_backward_batch(
     cache: LstmCache,
     dh_seq: np.ndarray | None = None,
     dh_last: np.ndarray | None = None,
-    dc_last: np.ndarray | None = None,
     want_dx: bool = True,
 ) -> LstmGrads:
-    """Backpropagate through time.
+    """Backpropagate through time to the weights and the input.
 
     dh_seq: (B, T, H) upstream gradient on every hidden output, or None when
-    only the final state feeds downstream; dh_last/dc_last add extra gradient
-    on the final hidden/cell state. With want_dx=False the input gradient is
-    not computed and the returned ``x`` is None. A cache of stacked cells
-    takes and gives every array with the leading model axis.
+    only the final state feeds downstream; dh_last adds extra gradient on the
+    final hidden state. With want_dx=False the input gradient is not computed
+    and the returned ``x`` is None. A cache of stacked cells takes and gives
+    every array with the leading model axis.
     """
     p = cache.params
     lead, (nt, nd) = cache.x.shape[:-2], cache.x.shape[-2:]
     nh = p.hidden_size
     if dh_seq is not None and dh_seq.shape != cache.h.shape:
         raise ShapeMismatchError("dh_seq shape mismatch")
-    for name, d in (("dh_last", dh_last), ("dc_last", dc_last)):
-        if d is not None and d.shape != lead + (nh,):
-            raise ShapeMismatchError(f"{name} shape {d.shape}, expected {lead + (nh,)}")
+    if dh_last is not None and dh_last.shape != lead + (nh,):
+        raise ShapeMismatchError(f"dh_last shape {dh_last.shape}, expected {lead + (nh,)}")
 
     d_wx = np.zeros_like(p.w_input)
     d_wh = np.zeros_like(p.w_hidden)
@@ -310,14 +298,14 @@ def lstm_backward_batch(
     dx = np.empty(cache.x.shape) if want_dx else None  # C order, also for a broadcast x
     da = np.empty(lead + (4 * nh,))  # same gate order as the parameter rows
     da_t = da.swapaxes(-1, -2)
-    dh_carry = np.zeros(lead + (nh,)) if dh_last is None else dh_last.copy()
-    dc_carry = np.zeros(lead + (nh,)) if dc_last is None else dc_last.copy()
+    dc_carry = zero = np.zeros(lead + (nh,))  # also the state before step 0
+    dh_carry = zero if dh_last is None else dh_last.copy()
 
     for t in range(nt - 1, -1, -1):
         i, f, g, o = cache.gate_i[t], cache.gate_f[t], cache.gate_g[t], cache.gate_o[t]
         tc = cache.tanh_c[t]
-        c_prev = cache.c[t - 1] if t > 0 else cache.c0
-        h_prev = cache.h[..., t - 1, :] if t > 0 else cache.h0
+        c_prev = cache.c[t - 1] if t > 0 else zero
+        h_prev = cache.h[..., t - 1, :] if t > 0 else zero
 
         dh = dh_carry if dh_seq is None else dh_seq[..., t, :] + dh_carry
         do = dh * tc
@@ -338,7 +326,7 @@ def lstm_backward_batch(
             dx[..., t, :] = da @ p.w_input
         dh_carry = da @ p.w_hidden
 
-    return LstmGrads(d_wx, d_wh, d_b, dx, dh_carry, dc_carry)
+    return LstmGrads(d_wx, d_wh, d_b, dx)
 
 
 def dense_forward_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:

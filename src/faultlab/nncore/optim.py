@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Adam's moment decay rates and denominator floor, Kingma & Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def pack(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays])
@@ -27,12 +30,9 @@ def unpack_into(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """Step size, first/second moment accumulators and the step counter."""
 
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -46,8 +46,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grads
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    return params - state.alpha * m_hat / (np.sqrt(v_hat) + EPS)

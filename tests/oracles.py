@@ -41,22 +41,15 @@ def lstm_cell_forward(
     return h_next, c_next
 
 
-def lstm_layer_forward(
-    seq: np.ndarray,
-    p: LstmCellParams,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run the cell over a (T, D) sequence; returns the (T, H) hidden sequence."""
+def lstm_layer_forward(seq: np.ndarray, p: LstmCellParams) -> np.ndarray:
+    """Run the cell over a (T, D) sequence from a zero state; returns the
+    (T, H) hidden sequence."""
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 2:
         raise ShapeMismatchError(f"expected (T, D) sequence, got shape {seq.shape}")
     if seq.shape[0] == 0:
         raise ShapeMismatchError("empty sequence")
-    batched = seq[None, :, :]
-    h0b = None if h0 is None else np.asarray(h0, dtype=float)[None, :]
-    c0b = None if c0 is None else np.asarray(c0, dtype=float)[None, :]
-    hs, _ = lstm_forward_batch(batched, p, h0b, c0b)
+    hs, _ = lstm_forward_batch(seq[None, :, :], p)
     return hs[0]
 
 

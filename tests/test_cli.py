@@ -27,11 +27,6 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("FAULTLAB_SEED", raising=False)
-
-
 def tiny_config(tmp_path, **cpd_overrides):
     """A config small enough for CLI train commands to finish in seconds."""
     cfg = RunConfig()
@@ -89,32 +84,19 @@ def test_gen_short_mixed_streams(tmp_path, capsys):
 # --- seed resolution --------------------------------------------------------------
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    explicit = tmp_path / "explicit.csv"
-    via_env = tmp_path / "env.csv"
-    run("gen", "--regime", "normal", "--out", str(explicit), "--len", "300",
-        "--seed", "17")
-    monkeypatch.setenv("FAULTLAB_SEED", "17")
-    run("gen", "--regime", "normal", "--out", str(via_env), "--len", "300")
-    assert explicit.read_bytes() == via_env.read_bytes()
+def test_seed_comes_from_the_flag_then_the_config_then_0(tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    save_run_config(RunConfig(seed=17), config)
+    monkeypatch.setenv("FAULTLAB_SEED", "17")  # no environment variable is read
 
+    def gen(*extra) -> bytes:
+        out = tmp_path / "out.csv"
+        assert run("gen", "--regime", "normal", "--out", str(out), "--len", "300", *extra) == 0
+        return out.read_bytes()
 
-def test_arg_seed_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FAULTLAB_SEED", "99")
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run("gen", "--regime", "normal", "--out", str(a), "--len", "300", "--seed", "17")
-    monkeypatch.delenv("FAULTLAB_SEED")
-    run("gen", "--regime", "normal", "--out", str(b), "--len", "300", "--seed", "17")
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FAULTLAB_SEED", "banana")
-    code = run("gen", "--regime", "normal", "--out", str(tmp_path / "x.csv"),
-               "--len", "100")
-    assert code == 2
-    assert "FAULTLAB_SEED" in capsys.readouterr().err
+    assert gen() == gen("--seed", "0") != gen("--seed", "17")
+    assert gen("--config", str(config)) == gen("--seed", "17")
+    assert gen("--config", str(config), "--seed", "0") == gen()
 
 
 # --- exit codes -------------------------------------------------------------------
@@ -189,6 +171,17 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     else:
         assert code == 2
         assert "config error" in err and (f"{section}: {key}" if section else key) in err
+
+
+@pytest.mark.parametrize("name", ["nope.json", "."])   # missing, a directory
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    code = run("gen", "--regime", "normal", "--len", "50", "--config", str(path),
+               "--out", str(tmp_path / "n.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("faultlab: config error: cannot read config file: [Errno ")
+    assert str(path) in err
 
 
 def test_missing_model_dir_exits_2(tmp_path, capsys):
@@ -401,6 +394,46 @@ def test_eval_rejects_a_negative_plan_seed_before_training(tmp_path, capsys, mon
     monkeypatch.setattr(experiment, "build_assets", refuse)
     assert run("eval", "--plan-seed", "-1", "--out", str(tmp_path / "r.md")) == 2
     assert "--plan-seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _refuse_the_work(monkeypatch):
+    """Make every expensive step of gen, train-smtcnn, infer and eval fail the test."""
+    import faultlab.cascade as cascade
+    import faultlab.cli as cli
+    import faultlab.experiment as experiment
+
+    for module, name in ((cli, "generate_dataset"), (cli, "read_csv"),
+                         (cascade, "smtcnn_infer"), (experiment, "build_assets")):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before --out was checked")
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["gen", "infer", "eval"])
+def test_bad_out_file_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
+    _refuse_the_work(monkeypatch)
+    args = {"gen": ["--regime", "normal"], "infer": ["--models", "m", "--in", "s.csv"],
+            "eval": []}[command]
+    (tmp_path / "taken").write_text("")
+    for out, error in ((tmp_path / "missing" / "out.csv", "[Errno 2] No such file or directory"),
+                       (tmp_path / "taken" / "out.csv", "[Errno 20] Not a directory"),
+                       (tmp_path, "[Errno 21] Is a directory")):
+        assert run(command, *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"faultlab: error: {error}: '{out}'\n"
+
+
+def test_train_smtcnn_makes_its_out_dir_before_the_work(tmp_path, capsys, monkeypatch):
+    _refuse_the_work(monkeypatch)
+    inputs = [a for regime in ("mixed", "normal", "anomaly")
+              for a in (f"--{regime}", str(tmp_path / "absent.csv"))]
+    (tmp_path / "taken").write_text("")
+    for out, error in ((tmp_path / "taken", "[Errno 17] File exists"),
+                       (tmp_path / "taken" / "m", "[Errno 20] Not a directory")):
+        assert run("train-smtcnn", *inputs, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"faultlab: error: {error}: '{out}'\n"
+    with pytest.raises(AssertionError, match="read_csv ran"):
+        run("train-smtcnn", *inputs, "--out", str(tmp_path / "new" / "m"))
+    assert (tmp_path / "new" / "m").is_dir()
 
 
 @pytest.mark.parametrize("ablation", [None, "b3"])

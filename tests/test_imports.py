@@ -5,7 +5,8 @@ used (re-exports). Each module-level `_private` function, class or constant is
 used by some other statement of its own module. Each public one of src/faultlab
 is used outside the tests, save those in an allow-list, which is empty: test
 tools live in tests/oracles.py. Names inside string annotations count as used.
-So is each public method of a src/faultlab class.
+So is each public method of a src/faultlab class, and each optional parameter
+of a src/faultlab function or method is passed by some call outside the tests.
 """
 
 import ast
@@ -219,3 +220,79 @@ def test_scanner_finds_test_only_methods():
 def test_public_methods_have_callers_outside_tests():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert public_methods_only_tests_use(package, [p.read_text() for p in CONSUMERS]) == []
+
+
+def _calls_by_name(tree: ast.AST) -> dict[str, list[ast.Call]]:
+    """The calls in `tree`, by the name they call: `f(...)` and `x.f(...)` call f."""
+    calls: dict[str, list[ast.Call]] = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            calls.setdefault(name, []).append(n)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` passes `param`, by keyword, by `position` or through * or **."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (position < len(call.args) or starred)
+
+
+def optional_params_only_tests_pass(package: dict[str, str], consumers: list[str]) -> list[str]:
+    """Optional parameters (with a default, or keyword-only) of the functions and
+    methods of `package` (path -> source) that no call outside the tests and
+    outside the function itself passes. Calls are matched by the called name;
+    a method's positions as called skip `self` or `cls`."""
+    trees = {path: ast.parse(src) for path, src in package.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *(ast.parse(src) for src in consumers)]:
+        for name, found in _calls_by_name(tree).items():
+            calls.setdefault(name, []).extend(found)
+    found = []
+    for path, tree in trees.items():
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef,
+                                                                ast.AsyncFunctionDef))):
+            inside = {id(n) for n in ast.walk(fn)}
+            outside = [c for c in calls.get(fn.name, []) if id(c) not in inside]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            offset = 1 if id(fn) in owner and not static else 0
+            positional = fn.args.posonlyargs + fn.args.args
+            optional = [(a.arg, i - offset) for i, a in enumerate(positional)
+                        if i >= len(positional) - len(fn.args.defaults)]
+            optional += [(a.arg, None) for a in fn.args.kwonlyargs]
+            qualname = f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else fn.name
+            found += [f"{path} line {fn.lineno}: {qualname}({param})"
+                      for param, position in optional
+                      if not any(_passes(c, param, position) for c in outside)]
+    return found
+
+
+def test_scanner_finds_test_only_params():
+    package = {
+        "pkg/a.py": ('def f(x, y=1, z=2, *, k=None, w=3): return f(x, w=w)\n'
+                     'class C:\n'
+                     '    def m(self, a, b=1, c=2): pass\n'
+                     '    @staticmethod\n'
+                     '    def s(a=1, b=2): pass\n'
+                     'def g(*args, p=0, **kw): pass\n'
+                     'def h(a=1, b=2): pass\n'),
+        "pkg/b.py": ('from .a import C, f, g\n'
+                     'def go(c: C, kw):\n'
+                     '    f(1, 2, k=3)\n'
+                     '    c.m(1, 2)\n'
+                     '    C.s(1)\n'
+                     '    g(**kw)\n'),
+    }
+    consumers = ['from pkg.a import h\nh(*[1, 2])\n']
+    assert optional_params_only_tests_pass(package, consumers) == [
+        "pkg/a.py line 1: f(z)", "pkg/a.py line 1: f(w)",
+        "pkg/a.py line 3: C.m(c)", "pkg/a.py line 5: C.s(b)"]
+
+
+def test_optional_params_have_callers_outside_tests():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert optional_params_only_tests_pass(package, [p.read_text() for p in CONSUMERS]) == []

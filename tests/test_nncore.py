@@ -213,13 +213,13 @@ def test_lstm_backward_skipped_inputs_keep_weight_grads():
     x = rng.normal(size=(4, 5, 2))
     _, cache = lstm_forward_batch(x, p, want_cache=True)
     dh_seq = rng.normal(size=(4, 5, 3))
-    dh_last, dc_last = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    dh_last = rng.normal(size=(4, 3))
 
     def kept(g):
-        return [g.w_input, g.w_hidden, g.bias, g.h0, g.c0]
+        return [g.w_input, g.w_hidden, g.bias]
 
-    full = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
-    no_dx = lstm_backward_batch(cache, dh_seq, dh_last, dc_last, want_dx=False)
+    full = lstm_backward_batch(cache, dh_seq, dh_last)
+    no_dx = lstm_backward_batch(cache, dh_seq, dh_last, want_dx=False)
     assert no_dx.x is None and full.x.shape == x.shape
     assert [a.tobytes() for a in kept(no_dx)] == [a.tobytes() for a in kept(full)]
 
@@ -237,11 +237,9 @@ def test_lstm_backward_rejects_final_state_grads_of_the_wrong_shape():
                 np.ones((3, 4))):
         with pytest.raises(ShapeMismatchError, match="dh_last"):
             lstm_backward_batch(cache, dh_last=bad)
-        with pytest.raises(ShapeMismatchError, match="dc_last"):
-            lstm_backward_batch(cache, dh_last=np.ones((4, 3)), dc_last=bad)
 
 
-def _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last):
+def _reference_lstm(x, p, dh_seq, dh_last):
     """The plain batched step loop: [i|f|g|o] gates, two sigmoid calls a step,
     x W_x^T for every input width, (B, T, H) caches. Returns the hidden
     outputs and the gradients in LstmGrads order; the bit-level oracle of
@@ -249,9 +247,7 @@ def _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last):
     nb, nt, nd = x.shape
     nh = p.hidden_size
     wx_t, wh_t = p.w_input.T, p.w_hidden.T
-    h_prev = np.zeros((nb, nh)) if h0 is None else h0
-    c_prev = np.zeros((nb, nh)) if c0 is None else c0
-    h_start, c_start = h_prev, c_prev
+    h_prev = c_prev = np.zeros((nb, nh))
     hs, gi, gf, gg, go, cs, tcs = (np.empty((nb, nt, nh)) for _ in range(7))
     for t in range(nt):
         a = h_prev @ wh_t
@@ -272,11 +268,11 @@ def _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last):
     dx = np.empty((nb, nt, nd))
     da = np.empty((nb, 4 * nh))
     dh_carry = np.zeros((nb, nh)) if dh_last is None else dh_last.copy()
-    dc_carry = np.zeros((nb, nh)) if dc_last is None else dc_last.copy()
+    dc_carry = np.zeros((nb, nh))
     for t in range(nt - 1, -1, -1):
         i, f, g, o, tc = gi[:, t], gf[:, t], gg[:, t], go[:, t], tcs[:, t]
-        c_prev = cs[:, t - 1] if t > 0 else c_start
-        h_prev = hs[:, t - 1] if t > 0 else h_start
+        c_prev = cs[:, t - 1] if t > 0 else np.zeros((nb, nh))
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((nb, nh))
         dh = dh_carry if dh_seq is None else dh_seq[:, t] + dh_carry
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_carry
@@ -291,7 +287,7 @@ def _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last):
         d_b += da.sum(axis=0)
         dx[:, t] = da @ p.w_input
         dh_carry = da @ p.w_hidden
-    return hs, [d_wx, d_wh, d_b, dx, dh_carry, dc_carry]
+    return hs, [d_wx, d_wh, d_b, dx]
 
 
 # (D, H, constant input) at the shapes faultlab runs: the autoencoder's
@@ -312,15 +308,14 @@ def test_lstm_step_matches_reference_loop_bit_for_bit(nd, nh, constant, nb):
     else:
         x = rng.normal(size=(nb, nt, nd))
     dh_seq = rng.normal(size=(nb, nt, nh))
-    for h0, c0, dh_last, dc_last in (
-            (None, None, None, None),
-            tuple(rng.normal(size=(nb, nh)) for _ in range(4))):
-        want_hs, want_grads = _reference_lstm(x, p, h0, c0, dh_seq, dh_last, dc_last)
-        hs, cache = lstm_forward_batch(x, p, h0, c0, want_cache=True)
-        plain, _ = lstm_forward_batch(x, p, h0, c0)
-        assert hs.tobytes() == want_hs.tobytes() == plain.tobytes()
-        g = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
-        got = [g.w_input, g.w_hidden, g.bias, g.x, g.h0, g.c0]
+    want_hs, _ = _reference_lstm(x, p, dh_seq, None)
+    hs, cache = lstm_forward_batch(x, p, want_cache=True)
+    plain, _ = lstm_forward_batch(x, p)
+    assert hs.tobytes() == want_hs.tobytes() == plain.tobytes()
+    for dh_last in (None, rng.normal(size=(nb, nh))):
+        _, want_grads = _reference_lstm(x, p, dh_seq, dh_last)
+        g = lstm_backward_batch(cache, dh_seq, dh_last)
+        got = [g.w_input, g.w_hidden, g.bias, g.x]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want_grads]
 
 
@@ -359,12 +354,12 @@ def test_dense_gradcheck_softmax_jvp():
     assert report.ok(1e-5), report
 
 
-def _lstm_pass_arrays(x, p, dh_seq, dh_last, dc_last):
+def _lstm_pass_arrays(x, p, dh_seq, dh_last):
     """Every array a forward pass, a cached forward pass and its backward pass give."""
     hs_plain, _ = lstm_forward_batch(x, p)
     hs, cache = lstm_forward_batch(x, p, want_cache=True)
-    g = lstm_backward_batch(cache, dh_seq, dh_last, dc_last)
-    return [hs_plain, hs, g.w_input, g.w_hidden, g.bias, g.x, g.h0, g.c0]
+    g = lstm_backward_batch(cache, dh_seq, dh_last)
+    return [hs_plain, hs, g.w_input, g.w_hidden, g.bias, g.x]
 
 
 @pytest.mark.parametrize("nd", [1, 3, 5, 32])
@@ -377,11 +372,10 @@ def test_stacked_lstm_matches_per_cell_calls_bit_for_bit(nd, nb):
     for cell in cells:
         cell.bias[:] = rng.normal(size=4 * nh)
     xs = rng.normal(size=(k, nb, nt, nd))
-    dh_seq, dh_last, dc_last = (rng.normal(size=s) for s in
-                                [(k, nb, nt, nh), (k, nb, nh), (k, nb, nh)])
-    stacked = _lstm_pass_arrays(xs, LstmCellParams.stack(cells), dh_seq, dh_last, dc_last)
+    dh_seq, dh_last = rng.normal(size=(k, nb, nt, nh)), rng.normal(size=(k, nb, nh))
+    stacked = _lstm_pass_arrays(xs, LstmCellParams.stack(cells), dh_seq, dh_last)
     for j, cell in enumerate(cells):
-        alone = _lstm_pass_arrays(xs[j], cell, dh_seq[j], dh_last[j], dc_last[j])
+        alone = _lstm_pass_arrays(xs[j], cell, dh_seq[j], dh_last[j])
         assert [a.tobytes() for a in alone] == [a[j].tobytes() for a in stacked]
 
     z = rng.normal(size=(k, nb, 1, nd))  # an input constant over time
