@@ -16,7 +16,7 @@ slice one step passes it:
     task_l2 32 -> 32, T=64   their second layer
 
 Batches are those of the real calls: 256 windows to train the autoencoder and
-4096 to score, 16 chunks to train a task network and 220 in a forward pass;
+512 to score, 16 chunks to train a task network and 220 in a forward pass;
 the task layers' forward pass also runs at 16 chunks, as in training. The
 stacked cases time a group of K task networks' training step: K separate
 calls at REV against one call over a leading model axis in the working tree
@@ -138,11 +138,11 @@ def stacked_case(role: str, nd: int, nh: int, nt: int, nb: int, k: int, want_dx:
 
 def cases():
     return [
-        sigmoid_case(256, 16), sigmoid_case(4096, 16), sigmoid_case(256, 32),
+        sigmoid_case(256, 16), sigmoid_case(512, 16), sigmoid_case(256, 32),
         sigmoid_case(16, 32), sigmoid_case(220, 32),
-        lstm_case("ae_enc", 1, 16, 16, 4096, backward=False),
+        lstm_case("ae_enc", 1, 16, 16, 512, backward=False),
         lstm_case("ae_enc", 1, 16, 16, 256, backward=True, dh_seq=False, want_dx=False),
-        lstm_case("ae_dec", 48, 32, 16, 4096, backward=False, constant=True),
+        lstm_case("ae_dec", 48, 32, 16, 512, backward=False, constant=True),
         lstm_case("ae_dec", 48, 32, 16, 256, backward=True, constant=True),
         lstm_case("task_in", 5, 32, 64, 220, backward=False),
         lstm_case("task_in", 5, 32, 64, 16, backward=True, want_dx=False),

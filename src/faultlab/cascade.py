@@ -55,7 +55,13 @@ from .nncore import (
     sequence_cross_entropy,
     train,
 )
-from .nncore.layers import dense_backward_batch, lstm_backward_batch, lstm_forward_batch, softmax
+from .nncore.layers import (
+    batch_bounds,
+    dense_backward_batch,
+    lstm_backward_batch,
+    lstm_forward_batch,
+    softmax,
+)
 from .segclass import ClassifierModel, predict_batch, windowize_features
 from .simgen import NO_FAULT, TimeSeriesDataset
 
@@ -177,17 +183,13 @@ class SequenceClassifier:
     def infer_series(self, x: np.ndarray, chunk_len: int) -> np.ndarray:
         """(T, D) -> per-step probabilities (T, n_out), stateless chunks.
 
-        The chunks are cut and run through the network in batches of at most
-        INFER_BATCH_CHUNKS, so the working set is one batch's whatever T is.
-        The batches are near-equal in size, so when there is more than one,
-        each holds at least half of INFER_BATCH_CHUNKS chunks. That keeps the
-        bits those of one pass over all chunks: with OpenBLAS a batch of ten
-        or more chunks gives each chunk the same bits as any larger batch,
-        while nine or fewer take a small-matrix kernel with other last bits.
+        The chunks are cut and run through the network in near-equal batches
+        of at most INFER_BATCH_CHUNKS (see `batch_bounds`), so the working set
+        is one batch's whatever T is, and the bits are those of one pass over
+        all chunks.
         """
         n = -(-len(x) // chunk_len)
-        n_batches = max(1, -(-n // INFER_BATCH_CHUNKS))
-        bounds = [n * j // n_batches for j in range(n_batches + 1)]
+        bounds = batch_bounds(n, INFER_BATCH_CHUNKS)
         probs = np.empty((n, chunk_len, self.n_out))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             chunks = _pad_chunks(x[lo * chunk_len:hi * chunk_len], chunk_len)

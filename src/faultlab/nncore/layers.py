@@ -39,8 +39,9 @@ left out:
   is time-major, (T, B, H) or (T, K, B, H), so every step writes and the
   backward pass reads contiguous blocks.
 - The backward pass takes no per-step gradient when only the final state
-  feeds downstream (``dh_seq=None``), and computes no input gradient when
-  nothing reads it (``want_dx=False``).
+  feeds downstream (``dh_seq=None``), computes no input gradient when
+  nothing reads it (``want_dx=False``), and no gradient on the zero initial
+  state.
 """
 
 from __future__ import annotations
@@ -313,7 +314,6 @@ def lstm_backward_batch(
         di = dc * g
         dg = dc * i
         df = dc * c_prev
-        dc_carry = dc * f
 
         np.multiply(di * i, 1.0 - i, out=da[..., :nh])
         np.multiply(df * f, 1.0 - f, out=da[..., nh:2 * nh])
@@ -324,9 +324,24 @@ def lstm_backward_batch(
         d_b += da.sum(axis=-2)
         if dx is not None:
             dx[..., t, :] = da @ p.w_input
-        dh_carry = da @ p.w_hidden
+        if t > 0:  # nothing reads the gradients on the zero initial state
+            dc_carry = dc * f
+            dh_carry = da @ p.w_hidden
 
     return LstmGrads(d_wx, d_wh, d_b, dx)
+
+
+def batch_bounds(n: int, most: int) -> list[int]:
+    """Bounds of near-equal batches of at most `most` of n rows, for a
+    forward pass run batch by batch.
+
+    When there is more than one batch, each holds at least most // 2 rows.
+    That keeps every row's bits those of one pass over all n: with OpenBLAS
+    a product of ten or more rows gives each row the same bits as any larger
+    one, while nine or fewer take a small-matrix kernel with other last bits.
+    """
+    n_batches = max(1, -(-n // most))
+    return [n * j // n_batches for j in range(n_batches + 1)]
 
 
 def dense_forward_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:

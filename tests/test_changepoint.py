@@ -1,6 +1,12 @@
 """Change-point detection: thresholding, segment assembly, autoencoder plumbing."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,9 +220,9 @@ def test_checkpoint_round_trip(tmp_path, normal_small):
 
 
 def test_reconstruction_errors_batch_working_set():
-    # One 4096-window batch at the real shapes (window 16, encoders 16,
-    # decoder 32). The decoder's (B, W, 32) outputs alone take 16 MiB; keeping
-    # the three encoders' (B, W, 16) outputs alive beside them reaches 63 MiB.
+    # 4096 windows at the real shapes (window 16, encoders 16, decoder 32),
+    # scored as eight 512-window batches. One batch's decoder (B, W, 32)
+    # outputs take 2 MiB, and the whole call peaks at about 5.3 MiB.
     cfg = CpdConfig()
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4096 + cfg.window - 1, 3))
@@ -229,7 +235,7 @@ def test_reconstruction_errors_batch_working_set():
     finally:
         tracemalloc.stop()
     assert errs.shape == (4096,)
-    assert peak < 45 * 2**20, f"one scoring batch peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 8 * 2**20, f"scoring peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_reconstruction_errors_rejects_bad_series():
@@ -237,3 +243,58 @@ def test_reconstruction_errors_rejects_bad_series():
                                  Standardizer(np.zeros(3), np.ones(3)))
     with pytest.raises(ShapeMismatchError):
         reconstruction_errors(model, np.zeros((50, 2)))
+
+
+@pytest.fixture(scope="module")
+def scoring_stream():
+    """An untrained autoencoder at the real shapes, a series and its errors."""
+    cfg = CpdConfig()
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(4105 + 64 + cfg.window - 1, 3))
+    model = LstmAutoencoder.init(rng, cfg, Standardizer.fit(x))
+    return model, x, reconstruction_errors(model, x)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 511, 512, 513, 4095, 4096, 4097, 4104, 4105])
+def test_reconstruction_errors_do_not_depend_on_batching(scoring_stream, n):
+    # The errors of a stretch of the series are a slice of the whole series'
+    # errors, byte for byte, wherever the batch boundaries fall. Cut into
+    # 4096-window batches plus a tail, n = 4104 and 4105 would end with 8 and
+    # 9 windows, which OpenBLAS multiplies with another kernel.
+    model, x, full = scoring_stream
+    span = n + model.window - 1
+    for start in (0, 13, 64):
+        part = reconstruction_errors(model, x[start:start + span])
+        assert part.tobytes() == full[start:start + n].tobytes(), start
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are glibc's")
+def test_training_after_scoring_reuses_freed_memory():
+    # Importing faultlab.nncore pins glibc's mmap and trim thresholds. Without
+    # the pin, glibc leaves its 128 KiB start threshold in place after
+    # 512-window scoring batches, so every training step maps its caches anew
+    # and faults them in: about 25k minor faults in this call (4k per step),
+    # against about 70 with the pin. A fresh interpreter makes the count
+    # independent of what earlier tests allocated and freed.
+    script = textwrap.dedent("""
+        import resource
+        from faultlab import changepoint
+        from faultlab.config import CpdConfig, SimConfig
+        from faultlab.simgen import generate_dataset
+
+        normal = generate_dataset("normal_only", SimConfig(seed=3, n_points=4000))
+        cfg = CpdConfig(max_epochs=1, patience=1, max_train_windows=1500)
+        model = changepoint.train_autoencoder(normal, cfg, seed=0)
+        changepoint.reconstruction_errors(model, normal)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        changepoint.train_autoencoder(normal, cfg, seed=0)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = int(done.stdout.split()[-1])
+    assert faults < 2000, f"training faulted in {faults} pages"
