@@ -1,9 +1,11 @@
 """Reference tools of the test suite: plain one-sequence LSTM passes, the
-finite-difference gradient check and the 10-fold check of the segment
-classifiers. faultlab itself never runs them."""
+finite-difference gradient check, the 10-fold check of the segment
+classifiers and a checkpoint array writer that skips the encoder's checks.
+faultlab itself never runs them."""
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,6 +16,18 @@ from faultlab.errors import DegenerateDataError, ShapeMismatchError
 from faultlab.evaluation import EvalReport, confusion, metrics
 from faultlab.nncore import LstmCellParams, lstm_forward_batch, sigmoid
 from faultlab.segclass import WindowFeatures, predict_batch, train_classifier
+
+
+# --- checkpoint array entries ---------------------------------------------------
+
+def array_spec(values, dtype: str = "f8", shape=None) -> dict:
+    """A checkpoint array entry holding `values` as base64 of their
+    little-endian bytes, under `shape` (default: the values' own). Unlike the
+    encoder it writes any value and any shape, so a test can hand the decoder
+    a NaN or a byte count that does not match."""
+    arr = np.asarray(values, dtype="<" + dtype)
+    return {"dtype": dtype, "shape": list(arr.shape if shape is None else shape),
+            "data": base64.b64encode(arr.tobytes()).decode()}
 
 
 # --- LSTM on plain vectors and one sequence ------------------------------------

@@ -1,5 +1,7 @@
 """Cascade plumbing: chunking, task wiring, the warm-start prior, persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from faultlab.errors import (
     InvariantViolation,
     ShapeMismatchError,
 )
-from faultlab.segclass import ClassifierModel, _LinearImpl
+from faultlab.nncore import load_checkpoint
+from faultlab.nncore.checkpoint import checkpoint_text
+from faultlab.segclass import ClassifierModel, _LinearImpl, train_classifier
 
 
 def tiny_models(variant="b2_no_cpd", seed=0, with_seg=False):
@@ -289,6 +293,26 @@ def test_save_load_round_trip(tmp_path, variant, with_seg):
     assert np.array_equal(a.probs, b.probs)
     save_models(loaded, tmp_path / "again")  # the record stays behind
     assert np.array_equal(smtcnn_infer(x, load_models(tmp_path / "again")).probs, a.probs)
+
+
+def test_saved_bundle_files_reload_to_their_own_bytes(tmp_path):
+    """Every file of a bundle, the forest's integer trees included, loads into
+    fresh C-ordered float64/int64 arrays that encode back to the file's bytes."""
+    from test_segclass import make_blobs
+
+    forest = train_classifier("random_forest", make_blobs(n_per=10),
+                              SegclassConfig(rf_trees=2), seed=0)
+    save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), tmp_path)
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.stem for p in paths] == ["cpd", "manifest", "segclass", "task2", "task3"]
+    dtypes = set()
+    for path in paths:
+        ckpt = load_checkpoint(path)
+        assert checkpoint_text(ckpt).encode() == path.read_bytes()
+        for arr in ckpt.arrays.values():
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            dtypes.add(arr.dtype)
+    assert dtypes == {np.dtype(np.float64), np.dtype(np.int64)}
 
 
 def test_load_models_missing_files(tmp_path):

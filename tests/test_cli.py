@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import array_spec
 from test_acceptance import _file_bytes, _tiny_run_config
 from test_cascade import tiny_models
 from test_segclass import make_blobs
@@ -223,20 +224,30 @@ def test_infer_model_dir_missing_key_exits_2(tmp_path, capsys, file, section, ke
         assert "config error" in err and repr(key) in err
 
 
-@pytest.mark.parametrize("file,keys,value", [
-    ("manifest", ("meta", "chunk_len"), "x"),
-    ("manifest", ("meta", "variant"), "b9_mystery"),
-    ("manifest", ("meta", "variant"), ["full"]),
-    ("cpd", ("meta", "threshold", "mu"), "x"),
-    ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
-    ("task2", ("arrays", "l1_wh"), {"dtype": "f8", "shape": [4], "data": [0.0] * 4}),
-    ("task3", ("arrays", "head_w"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
-    ("cpd", ("arrays", "dec_wh"), {"dtype": "f8", "shape": [2, 2], "data": [0.0] * 4}),
-    ("manifest", ("arrays", "std_mu"), {"dtype": "f8", "shape": [2], "data": [0.0] * 2}),
-    ("cpd", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}),
+@pytest.mark.parametrize("file,keys,value,msg", [
+    ("manifest", ("meta", "chunk_len"), "x", "chunk_len"),
+    ("manifest", ("meta", "variant"), "b9_mystery", "b9_mystery"),
+    ("manifest", ("meta", "variant"), ["full"], "variant"),
+    ("cpd", ("meta", "threshold", "mu"), "x", "must be real number"),
+    ("task2", ("arrays", "l1_wh"), array_spec([[0.0] * 2] * 2), "inconsistent LSTM shapes"),
+    ("task2", ("arrays", "l1_wh"), array_spec([0.0] * 4), "must be matrices"),
+    ("task3", ("arrays", "head_w"), array_spec([[0.0] * 2] * 2), "do not chain"),
+    ("cpd", ("arrays", "dec_wh"), array_spec([[0.0] * 2] * 2), "inconsistent LSTM shapes"),
+    ("manifest", ("arrays", "std_mu"), array_spec([0.0] * 2), "standardizer shapes"),
+    ("cpd", ("arrays", "sd"), array_spec([1.0, 0.0, 1.0]), "positive sd"),
+    ("cpd", ("version",), 1, "retrain the models with `faultlab train-smtcnn`"),
+    ("task2", ("arrays", "l1_b", "data"), [0.0] * 24, "must be base64 text"),
+    ("task2", ("arrays", "l1_b", "data"), "*" + array_spec([0.0] * 24)["data"][1:],
+     "not base64"),
+    ("task3", ("arrays", "head_b"), array_spec([0.0] * 11, shape=[12]), "holds 88 bytes"),
+    ("task3", ("arrays", "head_b"), array_spec([], shape=[2**32, 2**32]), "holds 0 bytes"),
+    ("task3", ("arrays", "head_b"), array_spec([0.0] * 11 + [math.nan]), "non-finite"),
+    ("manifest", ("arrays", "std_sd"), array_spec([1.0, math.inf, 1.0]), "non-finite"),
 ], ids=["chunk_len-str", "variant-unknown", "variant-list", "threshold_mu-str", "l1_wh-2x2",
-        "l1_wh-1d", "head_w-2x2", "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero"])
-def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
+        "l1_wh-1d", "head_w-2x2", "dec_wh-2x2", "std_mu-shape", "cpd_sd-zero",
+        "version-1", "data-list", "data-not-base64", "data-8-bytes-short",
+        "shape-past-2**63", "data-nan", "data-inf"])
+def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value, msg):
     series = tmp_path / "s.csv"
     run("gen", "--regime", "mixed", "--out", str(series), "--len", "200", "--seed", "0")
     models = tmp_path / "models"
@@ -252,7 +263,7 @@ def test_infer_model_dir_bad_value_exits_2(tmp_path, capsys, file, keys, value):
                "--out", str(tmp_path / "pred.csv"))
     err = capsys.readouterr().err
     assert code == 2
-    assert "config error" in err and f"{file}.json" in err
+    assert "config error" in err and f"{file}.json" in err and msg in err
 
 
 def _drop_seg_fields(models: Path) -> None:
@@ -476,11 +487,27 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=8)
-ARRAY_SPECS = st.fixed_dictionaries({
-    "dtype": st.sampled_from(["f8", "i8", "c16"]),
-    "shape": st.lists(st.integers(-1, 20), max_size=3),
-    "data": st.lists(st.floats() | st.integers(-2**63, 2**63), max_size=24),
-})
+
+
+@st.composite
+def array_specs(draw) -> dict:
+    """A model-file array entry: the real bytes of drawn values, under their
+    own shape or a drawn one, with the payload intact or broken (one value
+    short, a character outside the base64 alphabet, free text, a list)."""
+    dtype = draw(st.sampled_from(["f8", "f8", "i8", "i8", "c16"]))
+    values = draw(st.lists(st.integers(-2**63, 2**63 - 1) if dtype == "i8" else st.floats(),
+                           max_size=24))
+    shape = draw(st.just(None) | st.lists(st.integers(-1, 20), max_size=3)
+                 | st.lists(st.integers(2**20, 2**40), min_size=2, max_size=4))
+    spec = array_spec(values, dtype, shape)
+    payload = spec["data"]
+    spec["data"] = draw(st.sampled_from([
+        payload, array_spec(values[1:], dtype)["data"], "*" + payload[1:], payload + "\n",
+    ]) | st.text(max_size=12) | st.just(values))
+    return spec
+
+
+ARRAY_SPECS = array_specs()
 CSV_FIELDS = (st.sampled_from([b"", b"nan", b"-inf", b"1e400", b"9" * 400, b"0x1f", b"1_0",
                                b"\xff\xfe", b'"', b"1,2", b"\x00"])
               | st.binary(max_size=6))
@@ -604,8 +631,8 @@ def _apply(base: Path, mutation) -> list[str]:
 @example(("config", "set", ("sim", "energy_base"), [10.0, 12.0]))
 @example(("config", "set", ("seed",), "x"))
 @example(("config", "drop", ("cpd",), None))
-@example(("cpd", "set", ("arrays", "sd"), {"dtype": "f8", "shape": [3], "data": [1.0, 0.0, 1.0]}))
-@example(("segclass", "set", ("arrays", "t0_left", "data", 0), 1000000))
+@example(("cpd", "set", ("arrays", "sd"), array_spec([1.0, 0.0, 1.0])))
+@example(("segclass", "set", ("arrays", "t0_left"), array_spec([1000000], "i8")))
 @example(("manifest", "set", ("meta", "variant"), ["full"]))
 @example(("csv", "set", (4, 0), b"100000000000000000000000"))
 @example(("csv", "set", (4, 0), b"15778\xff36920"))
@@ -614,8 +641,8 @@ def _apply(base: Path, mutation) -> list[str]:
 @example(("task2", "set", (), None))                               # root not an object
 @example(("task2", "set", ("arrays",), None))
 @example(("cpd", "set", ("arrays", "head_w", "shape"), -1))
-@example(("segclass", "set", ("arrays", "classes", "data", 0), 2**63))
-@example(("task3", "set", ("arrays", "head_b", "data", 0), math.nan))
+@example(("task2", "set", ("arrays", "l1_b"), array_spec([], shape=[2**32, 2**32])))
+@example(("task3", "set", ("arrays", "head_b"), array_spec([0.0] * 11 + [math.nan])))
 @example(("cpd", "set", ("meta", "window"), -1))
 @example(("cpd", "set", ("meta", "min_gap"), math.inf))
 @example(("manifest", "set", ("meta", "chunk_len"), 0))

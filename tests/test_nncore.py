@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from faultlab.nncore import (
 )
 from faultlab.nncore.checkpoint import checkpoint_text
 from faultlab.nncore.layers import dense_backward_batch, lstm_backward_batch
-from oracles import check_gradients, lstm_cell_forward, lstm_layer_forward
+from oracles import array_spec, check_gradients, lstm_cell_forward, lstm_layer_forward
 
 
 # --- activations --------------------------------------------------------------
@@ -679,18 +681,24 @@ def test_group_training_matches_one_model_runs(case, monkeypatch):
 # --- checkpoints --------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
+    # transposed and strided arrays are written in C order; every array loads
+    # fresh, writable, native-endian and C-ordered
     ckpt = Checkpoint(
         kind="test",
         meta={"note": "hello", "n": 3},
-        arrays={"w": np.arange(6, dtype=float).reshape(2, 3) / 7.0,
-                "idx": np.array([3, 1], dtype=np.int64)},
+        arrays={"w": (np.arange(6, dtype=float).reshape(2, 3) / 7.0).T,
+                "idx": np.arange(6, dtype=np.int32).reshape(2, 3)[:, ::2],
+                "s": np.float64(2.5), "e": np.zeros((0, 3))},
     )
     path = tmp_path / "m.json"
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path, expect_kind="test")
     assert back.meta == ckpt.meta
-    assert back.arrays["idx"].dtype == np.int64
-    assert_allclose(back.arrays["w"], ckpt.arrays["w"], rtol=0, atol=0)
+    for name, arr in back.arrays.items():
+        want = np.asarray(ckpt.arrays[name])
+        assert arr.dtype == (np.int64 if name == "idx" else np.float64)
+        assert arr.dtype.isnative and arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.shape == want.shape and np.array_equal(arr, want)
 
 
 def test_checkpoint_text_is_canonical():
@@ -700,12 +708,13 @@ def test_checkpoint_text_is_canonical():
 
 
 def test_checkpoint_bitexact_floats(tmp_path):
-    # repr round-trip must preserve doubles bit for bit
-    vals = np.array([1 / 3, 1e-300, math.pi, -0.1])
+    # the stored bytes are the values: -0.0 and subnormals keep their bits
+    tiny = np.finfo(np.float64).tiny
+    vals = np.array([1 / 3, 1e-300, math.pi, -0.1, -0.0, 5e-324, tiny / 3, -tiny / 7])
     path = tmp_path / "v.json"
     save_checkpoint(Checkpoint(kind="k", meta={}, arrays={"v": vals}), path)
-    back = load_checkpoint(path)
-    assert np.array_equal(back.arrays["v"], vals)
+    back = load_checkpoint(path).arrays["v"]
+    assert back.dtype == np.float64 and back.tobytes() == vals.tobytes()
 
 
 def test_checkpoint_rejects_nonfinite():
@@ -719,6 +728,45 @@ def test_checkpoint_kind_mismatch(tmp_path):
     save_checkpoint(Checkpoint(kind="a", meta={}, arrays={}), path)
     with pytest.raises(ConfigError):
         load_checkpoint(path, expect_kind="b")
+
+
+def test_checkpoint_refuses_version_1_with_a_retrain_message(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"format": "faultlab-checkpoint", "version": 1, "kind": "k",
+                                "meta": {}, "arrays": {"v": {"dtype": "f8", "shape": [2],
+                                                            "data": [0.5, -1.0]}}}))
+    with pytest.raises(ConfigError, match=r"version 1 .*retrain the models with "
+                                          r"`faultlab train-smtcnn` or `faultlab pipeline`"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("spec,msg", [
+    ({"dtype": "f8", "shape": [2], "data": [0.5, -1.0]}, "must be base64 text, got list"),
+    ({"dtype": "f8", "shape": [2], "data": None}, "must be base64 text, got NoneType"),
+    (dict(array_spec([0.5, -1.0]), data="*" + array_spec([0.5, -1.0])["data"][1:]),
+     "not base64"),
+    (dict(array_spec([0.5, -1.0]), data=array_spec([0.5, -1.0])["data"] + "\n"), "not base64"),
+    (dict(array_spec([0.5, -1.0]), data="AAAAAAAAAAé="), "not base64"),
+    (array_spec([0.5, -1.0], shape=[3]), "holds 16 bytes, shape [3] needs 24"),
+    (array_spec([0.5, -1.0, 2.0], shape=[2]), "holds 24 bytes, shape [2] needs 16"),
+    (array_spec([1, 2], "i8", shape=[1]), "holds 16 bytes"),
+    (array_spec([], shape=[2**32, 2**32]), "needs 147573952589676412928"),
+    (array_spec([], shape=[2**62, 4]), "holds 0 bytes"),
+    (array_spec([0.5, math.nan]), "non-finite"),
+    (array_spec([math.inf, 0.5]), "non-finite"),
+    (array_spec([-math.inf]), "non-finite"),
+    (array_spec([0.5], "c16"), "unsupported checkpoint dtype 'c16'"),
+    (array_spec([0.5], shape=[True]), "shape must list sizes"),
+], ids=["data-list", "data-null", "non-alphabet", "newline", "non-ascii", "8-bytes-short",
+        "8-bytes-over", "i8-8-bytes-over", "shape-2**64", "shape-2**64-wraps-to-0", "nan",
+        "inf", "-inf", "c16", "bool-shape"])
+def test_checkpoint_refuses_bad_array_data(tmp_path, spec, msg):
+    doc = json.loads(checkpoint_text(Checkpoint(kind="k", arrays={"ok": np.zeros(2)})))
+    doc["arrays"]["bad"] = spec
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
