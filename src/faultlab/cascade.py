@@ -127,13 +127,6 @@ class SequenceClassifier:
         h2, _ = lstm_forward_batch(h1, self.lstm2)
         return softmax(dense_forward_batch(h2, self.head), axis=-1)
 
-    def loss(self, batch) -> float:
-        return self.group_losses([self], [batch], want_grads=False)[0]
-
-    def loss_and_grads(self, batch):
-        """batch = (x: (B, L, D), labels: (B, L) ints in 0..n_out, 0 = ignore)."""
-        return self.group_losses([self], [batch], want_grads=True)[0]
-
     def stack_key(self, batch):
         """Models with equal keys can run their batches as one stacked call."""
         return batch[0].shape, self.lstm1.w_input.shape, self.lstm2.w_input.shape
@@ -141,7 +134,8 @@ class SequenceClassifier:
     @staticmethod
     def group_losses(models: list["SequenceClassifier"], batches: list, want_grads: bool):
         """Each model's sequence cross entropy on its own batch, and with
-        want_grads its gradients, as (loss, grads) pairs.
+        want_grads its gradients, as (loss, grads) pairs. A batch is
+        (x: (B, L, D), labels: (B, L) ints in 0..n_out, 0 = ignore).
 
         Several models run their two LSTM layers as one stacked recurrence
         (see nncore.layers), then each its own head and loss; one model runs
@@ -169,7 +163,7 @@ class SequenceClassifier:
             losses.append(value)
             if want_grads:
                 # the head is identity; dlogits already folds the softmax jacobian in
-                dw_head, db_head, dh = dense_backward_batch(h, None, dlogits, model.head)
+                dw_head, db_head, dh = dense_backward_batch(h, dlogits, model.head)
                 heads.append([dw_head, db_head])
                 dh2.append(dh)
         if not want_grads:
@@ -329,7 +323,7 @@ def train_task2(blocks: list[tuple[TimeSeriesDataset, np.ndarray, Standardizer, 
 
 
 def task2_score(model: SequenceClassifier, x_std: np.ndarray, segments: list[Segment],
-                chunk_len: int = 64) -> np.ndarray:
+                chunk_len: int) -> np.ndarray:
     """O_t2 of a standardized (T, 3) series: anomaly probability inside
     segments, exactly 0 outside."""
     mask = segments_to_mask(segments, len(x_std))

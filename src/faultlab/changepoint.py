@@ -110,7 +110,7 @@ class LstmAutoencoder:
              std: Standardizer) -> "LstmAutoencoder":
         encoders = [LstmCellParams.init(rng, 1, cfg.enc_hidden) for _ in range(N_CHANNELS)]
         decoder = LstmCellParams.init(rng, N_CHANNELS * cfg.enc_hidden, cfg.dec_hidden)
-        head = DenseParams.init(rng, cfg.dec_hidden, N_CHANNELS, activation="identity")
+        head = DenseParams.init(rng, cfg.dec_hidden, N_CHANNELS)
         return cls(encoders, decoder, head, cfg.window, std)
 
     # -- parameter plumbing ---------------------------------------------
@@ -146,18 +146,26 @@ class LstmAutoencoder:
         caches = (enc_caches, dec_cache, hd) if want_cache else None
         return recon, caches
 
-    def loss(self, batch: np.ndarray) -> float:
-        recon, _ = self._forward(batch, want_cache=False)
-        value, _ = mse_loss(recon, batch)
-        return value
+    def stack_key(self, batch: np.ndarray) -> None:
+        """`group_losses` runs one model at a time, so any models may share a call."""
+        return None
 
-    def loss_and_grads(self, batch: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        """batch: standardized windows (B, W, 3)."""
-        recon, caches = self._forward(batch, want_cache=True)
-        enc_caches, dec_cache, hd = caches
+    @staticmethod
+    def group_losses(models: list["LstmAutoencoder"], batches: list[np.ndarray],
+                     want_grads: bool) -> list:
+        """Each model's reconstruction MSE on its own batch of standardized
+        windows (B, W, 3), and with want_grads its gradients, as (loss, grads)
+        pairs; one model after the other."""
+        return [model._loss(batch, want_grads) for model, batch in zip(models, batches)]
+
+    def _loss(self, batch: np.ndarray, want_grads: bool):
+        recon, caches = self._forward(batch, want_cache=want_grads)
         value, d_recon = mse_loss(recon, batch)
+        if not want_grads:
+            return value
+        enc_caches, dec_cache, hd = caches
 
-        dw_head, db_head, dhd = dense_backward_batch(hd, recon, d_recon, self.head)
+        dw_head, db_head, dhd = dense_backward_batch(hd, d_recon, self.head)
         dec_grads = lstm_backward_batch(dec_cache, dhd)
         dz = dec_grads.x.sum(axis=1)  # the decoder reads z at every step
 
@@ -192,7 +200,7 @@ class LstmAutoencoder:
                                  ckpt.arrays["dec_b"])
         for cell in (*encoders, decoder):
             cell.validate()
-        head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"], "identity")
+        head = DenseParams(ckpt.arrays["head_w"], ckpt.arrays["head_b"])
         std = Standardizer(ckpt.arrays["mu"], ckpt.arrays["sd"])
         std.validate(N_CHANNELS)
         return cls(encoders, decoder, head, int(ckpt.meta["window"]), std)
@@ -216,7 +224,7 @@ def sliding_windows(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def train_autoencoder(normal: TimeSeriesDataset, cfg: CpdConfig,
-                      seed: int = 0) -> LstmAutoencoder:
+                      seed: int) -> LstmAutoencoder:
     """Fit the autoencoder on normal data only (unsupervised contract)."""
     if normal.regime != "normal_only":
         raise InvariantViolation(
@@ -290,8 +298,8 @@ def detect_changepoints(errors: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     return np.asarray(errors, dtype=float) > spec.tau
 
 
-def flags_to_segments(flags: np.ndarray, min_gap: int = 0, min_len: int = 0,
-                      window: int = 1) -> list[Segment]:
+def flags_to_segments(flags: np.ndarray, min_gap: int, min_len: int,
+                      window: int) -> list[Segment]:
     """Merge runs of true flags into record-index segments.
 
     Runs separated by fewer than min_gap false flags are merged, merged runs

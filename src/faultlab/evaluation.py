@@ -40,15 +40,13 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion(preds, truth, classes: list[int] | None = None) -> ConfusionMatrix:
+def confusion(preds, truth, classes: list[int]) -> ConfusionMatrix:
     """counts[i][j] = #{t : truth == classes[i] and pred == classes[j]}."""
     preds = np.asarray(preds)
     truth = np.asarray(truth)
     if preds.shape != truth.shape or preds.ndim != 1:
         raise ShapeMismatchError(f"preds {preds.shape} vs truth {truth.shape}")
     truth_i, preds_i = truth.astype(np.int64), preds.astype(np.int64)
-    if classes is None:
-        classes = np.unique(np.concatenate([preds_i, truth_i])).tolist()
     n = len(classes)
     # Label -> row index; a class listed twice maps to its last position.
     cls = np.asarray(classes, dtype=np.int64)
@@ -128,8 +126,7 @@ class SeqCvPlan:
     folds: list[FoldPlan] = field(default_factory=list)
 
 
-def seq_cv_plan(total: int, folds: int = 10, seed: int = 0,
-                lo: float = 0.5, hi: float = 0.8) -> SeqCvPlan:
+def seq_cv_plan(total: int, folds: int, seed: int, lo: float, hi: float) -> SeqCvPlan:
     """Contiguous train blocks in the first half, test blocks in the second.
 
     Block lengths are integer-uniform within [lo, hi] of each half's size.
@@ -184,9 +181,9 @@ def format_cell(mean: float, std: float) -> str:
     return f"{mean_txt}±{std_txt}"
 
 
-def render_report(reports: list[EvalReport], fmt: str = "markdown",
-                  path=None) -> str:
-    """Rows = variants, columns = the five metrics as mean±std cells."""
+def render_report(reports: list[EvalReport], fmt: str, path) -> str:
+    """Rows = variants, columns = the five metrics as mean±std cells; the
+    table is written to `path` and returned."""
     if fmt not in ("markdown", "csv"):
         raise InvariantViolation(f"unknown report format {fmt!r}")
     rows = []
@@ -205,7 +202,6 @@ def render_report(reports: list[EvalReport], fmt: str = "markdown",
         lines += ["| " + " | ".join(row) + " |" for row in rows]
         text = "\n".join(lines) + "\n"
 
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write(text)
     return text

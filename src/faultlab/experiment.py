@@ -275,8 +275,7 @@ def default_plan(assets: ExperimentAssets) -> SeqCvPlan:
                        lo=pc.len_frac_lo, hi=pc.len_frac_hi)
 
 
-def run_all_variants(assets: ExperimentAssets, plan: SeqCvPlan | None = None,
-                     ) -> list[EvalReport]:
+def run_all_variants(assets: ExperimentAssets, plan: SeqCvPlan) -> list[EvalReport]:
     return run_variants(assets, VARIANTS, plan)
 
 

@@ -95,7 +95,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     Path(path).write_text(checkpoint_text(ckpt))
 
 
-def load_checkpoint(path: str | Path, expect_kind: str | None = None) -> Checkpoint:
+def load_checkpoint(path: str | Path, expect_kind: str) -> Checkpoint:
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -111,7 +111,7 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None) -> Checkpo
             f"`faultlab train-smtcnn` or `faultlab pipeline`"
         )
     kind = doc.get("kind", "")
-    if expect_kind is not None and kind != expect_kind:
+    if kind != expect_kind:
         raise ConfigError(f"checkpoint kind {kind!r}, expected {expect_kind!r}")
     meta, specs = doc.get("meta", {}), doc.get("arrays", {})
     if not (isinstance(meta, dict) and isinstance(specs, dict)

@@ -3,6 +3,10 @@ the z-score Standardizer every model applies to its inputs.
 
 All math is float64. Batched sequence arrays are shaped (B, T, dim).
 
+The dense layer is affine, x W^T + b, with no activation of its own: the
+autoencoder's head is read as is, and a task network applies `softmax` to its
+head's output, whose gradient `sequence_cross_entropy` gives at the logits.
+
 LSTM gate layout: the 4H rows of ``w_input``/``w_hidden`` (and entries of
 ``bias``) are sliced as [input gate | forget gate | candidate | output gate].
 Gates use the logistic sigmoid, the candidate uses tanh.
@@ -51,8 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvariantViolation, ShapeMismatchError
-
-ACTIVATIONS = ("identity", "softmax")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -151,15 +153,10 @@ class LstmCellParams:
 
 @dataclass
 class DenseParams:
-    """Fully connected layer: activation(w @ x + b). w: (out, in), b: (out,)."""
+    """Affine layer: w @ x + b. w: (out, in), b: (out,)."""
 
     w: np.ndarray
     b: np.ndarray
-    activation: str = "identity"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def out_size(self) -> int:
@@ -170,14 +167,9 @@ class DenseParams:
         return self.w.shape[1]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, in_size: int, out_size: int,
-             activation: str = "identity") -> "DenseParams":
+    def init(cls, rng: np.random.Generator, in_size: int, out_size: int) -> "DenseParams":
         lim = 1.0 / np.sqrt(in_size)
-        return cls(
-            w=rng.uniform(-lim, lim, size=(out_size, in_size)),
-            b=np.zeros(out_size),
-            activation=activation,
-        )
+        return cls(w=rng.uniform(-lim, lim, size=(out_size, in_size)), b=np.zeros(out_size))
 
 
 @dataclass
@@ -348,27 +340,20 @@ def dense_forward_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:
     """Apply a dense layer to the last axis of x (any leading shape)."""
     if x.shape[-1] != p.in_size:
         raise ShapeMismatchError(f"input dim {x.shape[-1]} != layer in_size {p.in_size}")
-    z = x @ p.w.T + p.b
-    if p.activation == "identity":
-        return z
-    return softmax(z, axis=-1)
+    return x @ p.w.T + p.b
 
 
 def dense_backward_batch(
-    x: np.ndarray, out: np.ndarray, d_out: np.ndarray, p: DenseParams
+    x: np.ndarray, d_out: np.ndarray, p: DenseParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of a dense layer given upstream d_out.
+    """Gradient of a dense layer given upstream d_out on its output.
 
-    Returns (dw, db, dx). `out` must be the forward activation output for the
-    same x. Works on any leading shape; parameters accumulate over it.
+    Returns (dw, db, dx). Works on any leading shape; parameters accumulate
+    over it.
     """
-    if p.activation == "identity":
-        dz = d_out
-    else:  # softmax: full Jacobian-vector product, row-wise
-        dz = out * (d_out - np.sum(d_out * out, axis=-1, keepdims=True))
     flat_x = x.reshape(-1, p.in_size)
-    flat_dz = dz.reshape(-1, p.out_size)
+    flat_dz = d_out.reshape(-1, p.out_size)
     dw = flat_dz.T @ flat_x
     db = flat_dz.sum(axis=0)
-    dx = dz @ p.w
+    dx = d_out @ p.w
     return dw, db, dx

@@ -30,8 +30,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def one_hot_sequences(labels: np.ndarray, n_classes: int, length: int | None = None) -> np.ndarray:
-    """Encode integer labels (N, T), 1-based, into (N, T, C) one-hot rows.
+def one_hot_sequences(labels: np.ndarray, n_classes: int, length: int) -> np.ndarray:
+    """Encode integer labels (N, T), 1-based, into (N, length, C) one-hot rows.
 
     Label 0 marks a padded step and produces an all-zero row, which the
     cross entropy then ignores.
@@ -44,11 +44,10 @@ def one_hot_sequences(labels: np.ndarray, n_classes: int, length: int | None = N
             f"labels must lie in [0, {n_classes}], found range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    nt = labels.shape[1] if length is None else length
-    if labels.shape[1] > nt:
+    if labels.shape[1] > length:
         raise ShapeMismatchError(
-            f"labels span {labels.shape[1]} steps but sequences only {nt}")
-    out = np.zeros((labels.shape[0], nt, n_classes))
+            f"labels span {labels.shape[1]} steps but sequences only {length}")
+    out = np.zeros((labels.shape[0], length, n_classes))
     rows, cols = np.nonzero(labels)
     out[rows, cols, labels[rows, cols] - 1] = 1.0
     return out

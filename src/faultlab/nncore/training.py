@@ -3,25 +3,24 @@
 A trainable model exposes three methods:
 
     param_arrays() -> list[np.ndarray]   live views, updated in place
-    loss_and_grads(batch) -> (float, list[np.ndarray])  grads align with params
-    loss(batch) -> float                 forward-only, used for validation
-
-and may expose two more, to share its forward and backward passes with
-other models of its class:
-
     stack_key(batch) -> hashable         equal keys: the batches may run as one call
     group_losses(models, batches, want_grads) -> per model, loss or (loss, grads)
+
+`group_losses` is a static method: for models of its class, each with its
+own batch, it gives each model's loss, or with `want_grads` its (loss,
+grads) pair, the grads aligned with `param_arrays()`. A validation pass is
+the same call without `want_grads`.
 
 `train` takes a list of `TrainJob`s. Each job is its own training loop with
 its own rng, batches, Adam state, losses, validation and early stop, exactly
 as if it trained alone. The loops advance side by side, one operation (a
 minibatch step or a validation pass) per job per round. In each round the
-jobs whose pending operations are of one kind and have equal stack keys run
-them through one `group_losses` call, up to MAX_GROUP models per call; the
-others run on their own. As a model's arithmetic never mixes with
-another's, its parameters and `TrainResult` do not depend on which models
-train beside it. A job leaves the group when it stops early, runs out of
-epochs or diverges; a single model trains as a group of one.
+jobs whose pending operations are of one kind, whose models are of one
+class and whose stack keys are equal run them through one `group_losses`
+call, up to MAX_GROUP models per call. As a model's arithmetic never mixes
+with another's, its parameters and `TrainResult` do not depend on which
+models train beside it. A job leaves the group when it stops early, runs out
+of epochs or diverges; a single model trains as a group of one.
 
 Every loop is deterministic given its job's rng, which only `make_batches`
 draws from.
@@ -30,7 +29,7 @@ draws from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Hashable, Iterable, Protocol
 
 import numpy as np
 
@@ -47,9 +46,10 @@ MAX_GROUP = 8
 class TrainableModel(Protocol):
     def param_arrays(self) -> list[np.ndarray]: ...
 
-    def loss_and_grads(self, batch: Any) -> tuple[float, list[np.ndarray]]: ...
+    def stack_key(self, batch: Any) -> Hashable: ...
 
-    def loss(self, batch: Any) -> float: ...
+    @staticmethod
+    def group_losses(models: list, batches: list, want_grads: bool) -> list: ...
 
 
 @dataclass
@@ -161,14 +161,6 @@ def _loop(job: TrainJob):
     return result
 
 
-def _run(kind: str, models: list, batches: list) -> list:
-    """The operation `kind` of each model on its batch, as one call for several."""
-    if len(models) > 1:
-        return type(models[0]).group_losses(models, batches, want_grads=kind == _STEP)
-    model, batch = models[0], batches[0]
-    return [model.loss_and_grads(batch) if kind == _STEP else model.loss(batch)]
-
-
 def train(jobs: list[TrainJob]) -> TrainResults:
     """Train every job's model in lockstep; see the module docstring."""
     results = TrainResults([None] * len(jobs))
@@ -189,14 +181,13 @@ def train(jobs: list[TrainJob]) -> TrainResults:
         groups: dict[Any, list[int]] = {}
         for i, (kind, batch) in pending.items():
             model = jobs[i].model
-            key = ((kind, type(model), model.stack_key(batch))
-                   if hasattr(model, "stack_key") else (kind, i))
-            groups.setdefault(key, []).append(i)
+            groups.setdefault((kind, type(model), model.stack_key(batch)), []).append(i)
         ops, pending = pending, {}
-        for (kind, *_), members in groups.items():
+        for (kind, cls, _), members in groups.items():
             for lo in range(0, len(members), MAX_GROUP):
                 part = members[lo:lo + MAX_GROUP]
-                outs = _run(kind, [jobs[i].model for i in part], [ops[i][1] for i in part])
+                outs = cls.group_losses([jobs[i].model for i in part],
+                                        [ops[i][1] for i in part], want_grads=kind == _STEP)
                 for i, out in zip(part, outs):
                     advance(i, out)
     return results

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .changepoint import sliding_windows
 from .config import KINDS, SegclassConfig
 from .errors import DegenerateDataError, InvariantViolation, ShapeMismatchError
 from .nncore import Checkpoint, Standardizer
@@ -60,13 +61,11 @@ def window_stats(windows: np.ndarray) -> np.ndarray:
 
 
 def windowize_features(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """(T, 3) matrix -> one feature row per window position."""
+    """(T, 3) matrix -> one feature row per window position, every `stride`
+    steps; a window longer than the series raises ShapeMismatchError."""
     if window < 1 or stride < 1:
         raise InvariantViolation("window and stride must be >= 1")
-    if window > len(x):
-        raise ShapeMismatchError(f"window {window} larger than series {len(x)}")
-    starts = np.arange(0, len(x) - window + 1, stride)
-    return window_stats(np.stack([x[s:s + window] for s in starts]))
+    return window_stats(sliding_windows(x, window)[::stride])
 
 
 def windowize(dataset: TimeSeriesDataset, window: int, stride: int) -> WindowFeatures:
@@ -217,10 +216,8 @@ class ClassifierModel:
             raise InvariantViolation(f"unknown classifier kind {self.kind!r}")
 
 
-def train_classifier(kind: str, rows: WindowFeatures, cfg: SegclassConfig | None = None,
-                     seed: int = 0) -> ClassifierModel:
-    if cfg is None:
-        cfg = SegclassConfig()
+def train_classifier(kind: str, rows: WindowFeatures, cfg: SegclassConfig,
+                     seed: int) -> ClassifierModel:
     if kind not in KINDS:
         raise InvariantViolation(f"unknown classifier kind {kind!r}")
     x = np.asarray(rows.features, dtype=float)
@@ -328,7 +325,10 @@ def scores_batch(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
             ll = -0.5 * (np.log(2 * np.pi * impl.var[c]) + (x - impl.mu[c]) ** 2 / impl.var[c])
             out[:, c] = impl.log_prior[c] + ll.sum(axis=1)
         return out
-    return impl.std.apply(x) @ impl.w.T + impl.b
+    # Each row's dot products as one elementwise product summed over its last
+    # axis: unlike a matrix product, whose blocking depends on the row count,
+    # this gives a row the same bits however many rows are scored with it.
+    return (impl.std.apply(x)[:, None, :] * impl.w).sum(axis=-1) + impl.b
 
 
 def predict_batch(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

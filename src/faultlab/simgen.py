@@ -138,17 +138,12 @@ def aggregate_noise_sigma(cfg: SimConfig) -> dict:
     }
 
 
-def simulate_normal(cfg: SimConfig, n: int | None = None,
-                    rng: np.random.Generator | None = None,
+def simulate_normal(cfg: SimConfig, n: int, rng: np.random.Generator,
                     benign: bool = True) -> TimeSeriesDataset:
     """Baseline stream with seeded noise, diurnal cpu cycle, benign dips."""
     cfg.validate()
-    if n is None:
-        n = cfg.size_for("normal_only")
     if n < 1:
         raise InvariantViolation("series length must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(derive_seed(cfg.seed, "simgen:normal_only"))
 
     nd = cfg.n_devices
     t = np.arange(n)

@@ -1,7 +1,7 @@
-"""Reference tools of the test suite: plain one-sequence LSTM passes, the
-finite-difference gradient check, the 10-fold check of the segment
-classifiers and a checkpoint array writer that skips the encoder's checks.
-faultlab itself never runs them."""
+"""Reference tools of the test suite: one model's loss through the trainer's
+protocol, plain one-sequence LSTM passes, the finite-difference gradient
+check, the 10-fold check of the segment classifiers and a checkpoint array
+writer that skips the encoder's checks. faultlab itself never runs them."""
 
 from __future__ import annotations
 
@@ -28,6 +28,14 @@ def array_spec(values, dtype: str = "f8", shape=None) -> dict:
     arr = np.asarray(values, dtype="<" + dtype)
     return {"dtype": dtype, "shape": list(arr.shape if shape is None else shape),
             "data": base64.b64encode(arr.tobytes()).decode()}
+
+
+# --- one model through the trainer's protocol ----------------------------------
+
+def model_loss(model, batch, want_grads: bool):
+    """`model`'s loss on `batch`, or with want_grads its (loss, grads), from
+    its class's `group_losses` as the trainer calls it, in a group of one."""
+    return type(model).group_losses([model], [batch], want_grads)[0]
 
 
 # --- LSTM on plain vectors and one sequence ------------------------------------
@@ -139,8 +147,8 @@ def stratified_folds(labels: np.ndarray, n_folds: int,
     return fold_of
 
 
-def crossval_10fold(rows: WindowFeatures, kind: str, seed: int = 0,
-                    cfg: SegclassConfig | None = None, n_folds: int = 10) -> EvalReport:
+def crossval_10fold(rows: WindowFeatures, kind: str, cfg: SegclassConfig, seed: int = 0,
+                    n_folds: int = 10) -> EvalReport:
     """Shuffled stratified k-fold; metrics aggregated via the eval module."""
     if len(rows) < n_folds:
         raise DegenerateDataError(f"{len(rows)} rows is fewer than {n_folds} folds")
@@ -151,7 +159,7 @@ def crossval_10fold(rows: WindowFeatures, kind: str, seed: int = 0,
         test = fold_of == f
         model = train_classifier(
             kind, WindowFeatures(rows.features[~test], rows.labels[~test], rows.names),
-            cfg=cfg, seed=seed + f,
+            cfg, seed=seed + f,
         )
         preds, _ = predict_batch(model, rows.features[test])
         cm = confusion(preds, rows.labels[test],

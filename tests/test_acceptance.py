@@ -36,7 +36,7 @@ from faultlab.config import (
     save_run_config,
 )
 from faultlab.evaluation import ConfusionMatrix, metrics, seq_cv_plan
-from faultlab.experiment import build_assets, run_all_variants
+from faultlab.experiment import build_assets, default_plan, run_all_variants
 from faultlab.nncore import (
     DenseParams,
     LstmCellParams,
@@ -95,20 +95,7 @@ def _gradcheck_case(kind: str, seed: int) -> float:
 
         out = dense_forward_batch(x, p)
         _, d_out = mse_loss(out, target)
-        dw, db, _ = dense_backward_batch(x, out, d_out, p)
-        report = check_gradients(loss_fn, [p.w, p.b], [dw, db])
-
-    elif kind == "dense_softmax_mse":
-        p = DenseParams.init(rng, nd, nc, activation="softmax")
-        x = rng.normal(size=(nb, nd))
-        target = rng.normal(size=(nb, nc))
-
-        def loss_fn():
-            return mse_loss(dense_forward_batch(x, p), target)[0]
-
-        out = dense_forward_batch(x, p)
-        _, d_out = mse_loss(out, target)
-        dw, db, _ = dense_backward_batch(x, out, d_out, p)
+        dw, db, _ = dense_backward_batch(x, d_out, p)
         report = check_gradients(loss_fn, [p.w, p.b], [dw, db])
 
     elif kind == "dense_ce":
@@ -122,7 +109,7 @@ def _gradcheck_case(kind: str, seed: int) -> float:
 
         z = dense_forward_batch(x, p)
         _, dlogits = sequence_cross_entropy(softmax(z, axis=-1), labels)
-        dw, db, _ = dense_backward_batch(x, z, dlogits, p)
+        dw, db, _ = dense_backward_batch(x, dlogits, p)
         report = check_gradients(loss_fn, [p.w, p.b], [dw, db])
 
     elif kind == "lstm_mse":
@@ -161,7 +148,7 @@ def _gradcheck_case(kind: str, seed: int) -> float:
         h2, cache2 = lstm_forward_batch(h1, p2, want_cache=True)
         z = dense_forward_batch(h2, head)
         _, dlogits = sequence_cross_entropy(softmax(z, axis=-1), labels)
-        dw, db, dh2 = dense_backward_batch(h2, z, dlogits, head)
+        dw, db, dh2 = dense_backward_batch(h2, dlogits, head)
         g2 = lstm_backward_batch(cache2, dh2)
         g1 = lstm_backward_batch(cache1, g2.x)
         report = check_gradients(loss_fn, params,
@@ -174,11 +161,10 @@ def _gradcheck_case(kind: str, seed: int) -> float:
 
 def test_criterion_1_gradients():
     t0 = time.perf_counter()
-    kinds = ("dense_mse", "dense_softmax_mse", "dense_ce", "lstm_mse",
-             "stacked_lstm_ce")
+    kinds = ("dense_mse", "dense_ce", "lstm_mse", "stacked_lstm_ce")
     worst = 0.0
     n_cases = 0
-    for rep in range(5):
+    for rep in range(6):
         for ki, kind in enumerate(kinds):
             worst = max(worst, _gradcheck_case(kind, seed=1000 + 31 * rep + ki))
             n_cases += 1
@@ -307,7 +293,7 @@ def test_criterion_5_ablation_ordering():
     t0 = time.perf_counter()
     cfg = RunConfig()
     assets = build_assets(cfg)
-    reports = run_all_variants(assets)
+    reports = run_all_variants(assets, default_plan(assets))
     took = time.perf_counter() - t0
 
     by_label = {r.label: r for r in reports}
@@ -436,13 +422,14 @@ def test_criterion_8_classical_classifiers(tmp_path):
     accs = {}
     agree = {}
     for kind in KINDS:
-        report = crossval_10fold(rows, kind, seed=808, cfg=cfg.seg)
+        report = crossval_10fold(rows, kind, cfg.seg, seed=808)
         accs[kind] = report.mean["balanced_accuracy"]
 
         model = train_classifier(kind, rows, cfg.seg, seed=808)
         path = tmp_path / f"{kind}.json"
         save_checkpoint(to_checkpoint(model), path)
-        preds_ref, _ = _scores_from_checkpoint(load_checkpoint(path), rows.features)
+        ckpt = load_checkpoint(path, expect_kind="segclass")
+        preds_ref, _ = _scores_from_checkpoint(ckpt, rows.features)
         preds, _ = predict_batch(model, rows.features)
         agree[kind] = bool(np.array_equal(preds, preds_ref))
 

@@ -193,14 +193,16 @@ def test_sequence_classifier_checkpoint_round_trip():
 def test_sequence_classifier_gradcheck():
     # covers the layer-2 input gradient feeding layer 1, whose own input
     # gradient is skipped
-    from oracles import check_gradients
+    from oracles import check_gradients, model_loss
 
     rng = np.random.default_rng(5)
     model = SequenceClassifier.init(rng, 3, 4, 3)
     x = rng.normal(size=(2, 5, 3))
     labels = np.array([[1, 2, 0, 3, 1], [0, 3, 3, 2, 1]])  # 0 = ignored step
-    _, grads = model.loss_and_grads((x, labels))
-    report = check_gradients(lambda: model.loss((x, labels)), model.param_arrays(), grads)
+    batch = (x, labels)
+    _, grads = model_loss(model, batch, want_grads=True)
+    report = check_gradients(lambda: model_loss(model, batch, want_grads=False),
+                             model.param_arrays(), grads)
     assert report.n_checked == sum(a.size for a in model.param_arrays())
     assert report.ok(1e-5), report
 
@@ -305,9 +307,11 @@ def test_saved_bundle_files_reload_to_their_own_bytes(tmp_path):
     save_models(dataclasses.replace(tiny_models("full"), seg_model=forest), tmp_path)
     paths = sorted(tmp_path.glob("*.json"))
     assert [p.stem for p in paths] == ["cpd", "manifest", "segclass", "task2", "task3"]
+    kinds = {"cpd": "lstm_autoencoder", "manifest": "smtcnn_manifest", "segclass": "segclass",
+             "task2": "task2", "task3": "task3"}
     dtypes = set()
     for path in paths:
-        ckpt = load_checkpoint(path)
+        ckpt = load_checkpoint(path, expect_kind=kinds[path.stem])
         assert checkpoint_text(ckpt).encode() == path.read_bytes()
         for arr in ckpt.arrays.values():
             assert arr.flags.c_contiguous and arr.flags.writeable

@@ -26,7 +26,7 @@ from faultlab.changepoint import (
 from faultlab.config import CpdConfig
 from faultlab.errors import InvariantViolation, ShapeMismatchError
 from faultlab.nncore import Standardizer, load_checkpoint, save_checkpoint
-from oracles import check_gradients
+from oracles import check_gradients, model_loss
 
 
 TINY_CPD = CpdConfig(
@@ -113,10 +113,11 @@ def test_flags_to_segments_min_len_after_merge():
 
 
 def test_flags_to_segments_edges():
-    assert flags_to_segments(np.zeros(5, dtype=bool)) == []
-    assert flags_to_segments(np.ones(4, dtype=bool), window=3) == [Segment(0, 6)]
+    assert flags_to_segments(np.zeros(5, dtype=bool), min_gap=0, min_len=0, window=1) == []
+    assert (flags_to_segments(np.ones(4, dtype=bool), min_gap=0, min_len=0, window=3)
+            == [Segment(0, 6)])
     with pytest.raises(InvariantViolation):
-        flags_to_segments(np.ones(4, dtype=bool), min_gap=-1)
+        flags_to_segments(np.ones(4, dtype=bool), min_gap=-1, min_len=0, window=1)
 
 
 def test_segments_to_mask():
@@ -166,8 +167,9 @@ def test_autoencoder_gradcheck(rng):
     for cell in (*model.encoders, model.decoder):
         cell.bias[:] = rng.normal(scale=0.5, size=cell.bias.shape)
     batch = rng.normal(size=(2, cfg.window, 3))
-    _, grads = model.loss_and_grads(batch)
-    report = check_gradients(lambda: model.loss(batch), model.param_arrays(), grads)
+    _, grads = model_loss(model, batch, want_grads=True)
+    report = check_gradients(lambda: model_loss(model, batch, want_grads=False),
+                             model.param_arrays(), grads)
     assert report.n_checked == sum(a.size for a in model.param_arrays())
     assert report.ok(1e-5), report
 
@@ -212,7 +214,8 @@ def test_checkpoint_round_trip(tmp_path, normal_small):
     model = train_autoencoder(normal_small, TINY_CPD, seed=3)
     path = tmp_path / "ae.json"
     save_checkpoint(model.to_checkpoint(), path)
-    clone = LstmAutoencoder.from_checkpoint(load_checkpoint(path))
+    ckpt = load_checkpoint(path, expect_kind="lstm_autoencoder")
+    clone = LstmAutoencoder.from_checkpoint(ckpt)
     assert clone.window == model.window
     a = reconstruction_errors(model, normal_small)
     b = reconstruction_errors(clone, normal_small)

@@ -23,21 +23,16 @@ from faultlab.evaluation import (
 
 
 def test_confusion_counts():
-    cm = confusion(preds=[1, 1, 2, 2, 1], truth=[1, 2, 2, 1, 1])
+    cm = confusion(preds=[1, 1, 2, 2, 1], truth=[1, 2, 2, 1, 1], classes=[1, 2])
     assert cm.classes == [1, 2]
     # rows truth, cols predicted
     assert cm.counts.tolist() == [[2, 1], [1, 1]]
     assert cm.total == 5
 
 
-def test_confusion_infers_sorted_class_union():
-    cm = confusion(preds=[9, 2], truth=[2, 4])
-    assert cm.classes == [2, 4, 9]
-
-
 def test_confusion_errors():
     with pytest.raises(ShapeMismatchError):
-        confusion([1, 2], [1])
+        confusion([1, 2], [1], classes=[1, 2])
     with pytest.raises(InvariantViolation):
         confusion([1, 3], [1, 1], classes=[1, 2])
     with pytest.raises(ShapeMismatchError):
@@ -106,7 +101,7 @@ def test_metrics_skip_absent_truth_classes():
 
 def test_metrics_empty_denominator_contributes_zero():
     # class 2 never predicted: precision 0/0 -> 0; class 1 never negative
-    m = metrics(confusion(preds=[1, 1, 1], truth=[1, 1, 2]))
+    m = metrics(confusion(preds=[1, 1, 1], truth=[1, 1, 2], classes=[1, 2]))
     assert m["precision"] == pytest.approx((2 / 3 + 0.0) / 2, abs=1e-15)
     assert m["balanced_accuracy"] == pytest.approx(0.5, abs=1e-15)
     assert m["specificity"] == pytest.approx(0.5, abs=1e-15)
@@ -159,7 +154,7 @@ def test_metrics_match_brute_force(n_classes, seed):
 
 @pytest.mark.parametrize("total,seed", [(100, 0), (2000, 3), (50001, 9)])
 def test_seq_cv_plan_contract(total, seed):
-    plan = seq_cv_plan(total, folds=10, seed=seed)
+    plan = seq_cv_plan(total, folds=10, seed=seed, lo=0.5, hi=0.8)
     half = total // 2
     size2 = total - half
     assert len(plan.folds) == 10
@@ -171,16 +166,16 @@ def test_seq_cv_plan_contract(total, seed):
 
 
 def test_seq_cv_plan_deterministic():
-    a = seq_cv_plan(500, seed=4)
-    b = seq_cv_plan(500, seed=4)
-    c = seq_cv_plan(500, seed=5)
+    a = seq_cv_plan(500, folds=10, seed=4, lo=0.5, hi=0.8)
+    b = seq_cv_plan(500, folds=10, seed=4, lo=0.5, hi=0.8)
+    c = seq_cv_plan(500, folds=10, seed=5, lo=0.5, hi=0.8)
     assert a == b
     assert a != c
 
 
 def test_seq_cv_plan_too_small():
     with pytest.raises(InvariantViolation):
-        seq_cv_plan(19)
+        seq_cv_plan(19, folds=10, seed=0, lo=0.5, hi=0.8)
 
 
 # --- reports ------------------------------------------------------------------
@@ -219,15 +214,15 @@ def test_render_and_parse_round_trip(tmp_path):
     assert text.splitlines()[1:] == ["full," + ",".join(["92.8±.02"] * 5)]
 
 
-def test_render_markdown_layout():
+def test_render_markdown_layout(tmp_path):
     rep = EvalReport(label="b2")
     rep.add_fold({m: 1.0 for m in METRIC_NAMES})
-    text = render_report([rep], fmt="markdown")
+    text = render_report([rep], fmt="markdown", path=tmp_path / "report.md")
     lines = text.splitlines()
     assert lines[0] == "| variant | Accuracy | Precision | Recall | Specificity | F1 |"
     assert lines[2].startswith("| b2 | 100±.00 |")
     with pytest.raises(InvariantViolation):
-        render_report([rep], fmt="latex")
+        render_report([rep], fmt="latex", path=tmp_path / "report.tex")
 
 
 def test_report_columns_constant():

@@ -5,8 +5,11 @@ used (re-exports). Each module-level `_private` function, class or constant is
 used by some other statement of its own module. Each public one of src/faultlab
 is used outside the tests, save those in an allow-list, which is empty: test
 tools live in tests/oracles.py. Names inside string annotations count as used.
-So is each public method of a src/faultlab class, and each optional parameter
-of a src/faultlab function or method is passed by some call outside the tests.
+So is each public method of a src/faultlab class. Each optional parameter of
+a src/faultlab function or method is passed by some call outside the tests,
+and each default is used by one, if any call outside the tests reaches the
+function; the defaults that only tests rely on have an allow-list, which is
+empty.
 """
 
 import ast
@@ -23,6 +26,9 @@ CONSUMERS = [*(ROOT / "scripts").glob("*.py"),
 
 # Public names of src/faultlab that only tests call, each kept on purpose.
 TEST_ONLY_ALLOWED: dict[str, str] = {}
+# Defaults of src/faultlab that every call outside the tests overrides, as
+# "qualname(param)", each kept on purpose.
+TEST_ONLY_DEFAULTS_ALLOWED: dict[str, str] = {}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -240,17 +246,17 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return position is not None and (position < len(call.args) or starred)
 
 
-def optional_params_only_tests_pass(package: dict[str, str], consumers: list[str]) -> list[str]:
-    """Optional parameters (with a default, or keyword-only) of the functions and
-    methods of `package` (path -> source) that no call outside the tests and
-    outside the function itself passes. Calls are matched by the called name;
-    a method's positions as called skip `self` or `cls`."""
+def _optional_params(package: dict[str, str], consumers: list[str]):
+    """For each optional parameter (with a default, or keyword-only) of the
+    functions and methods of `package` (path -> source): its label, whether it
+    has a default, and for each call outside the tests and outside the
+    function itself whether it passes the parameter. Calls are matched by the
+    called name; a method's positions as called skip `self` or `cls`."""
     trees = {path: ast.parse(src) for path, src in package.items()}
     calls: dict[str, list[ast.Call]] = {}
     for tree in [*trees.values(), *(ast.parse(src) for src in consumers)]:
         for name, found in _calls_by_name(tree).items():
             calls.setdefault(name, []).extend(found)
-    found = []
     for path, tree in trees.items():
         owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for fn in cls.body}
@@ -261,14 +267,30 @@ def optional_params_only_tests_pass(package: dict[str, str], consumers: list[str
             static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
             offset = 1 if id(fn) in owner and not static else 0
             positional = fn.args.posonlyargs + fn.args.args
-            optional = [(a.arg, i - offset) for i, a in enumerate(positional)
+            optional = [(a.arg, i - offset, True) for i, a in enumerate(positional)
                         if i >= len(positional) - len(fn.args.defaults)]
-            optional += [(a.arg, None) for a in fn.args.kwonlyargs]
+            optional += [(a.arg, None, d is not None)
+                         for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
             qualname = f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else fn.name
-            found += [f"{path} line {fn.lineno}: {qualname}({param})"
-                      for param, position in optional
-                      if not any(_passes(c, param, position) for c in outside)]
-    return found
+            for param, position, has_default in optional:
+                yield (f"{path} line {fn.lineno}: {qualname}({param})", has_default,
+                       [_passes(c, param, position) for c in outside])
+
+
+def optional_params_only_tests_pass(package: dict[str, str], consumers: list[str]) -> list[str]:
+    """Optional parameters of `package` that no call outside the tests passes
+    (see `_optional_params`)."""
+    return [label for label, _, passed in _optional_params(package, consumers)
+            if not any(passed)]
+
+
+def defaults_only_tests_rely_on(package: dict[str, str], consumers: list[str]) -> list[str]:
+    """Parameters of `package` with a default, positional or keyword-only,
+    that every call outside the tests passes, so that only tests use the
+    default (see `_optional_params`). A function that no call outside the
+    tests reaches is skipped."""
+    return [label for label, has_default, passed in _optional_params(package, consumers)
+            if has_default and passed and all(passed)]
 
 
 def test_scanner_finds_test_only_params():
@@ -296,3 +318,31 @@ def test_scanner_finds_test_only_params():
 def test_optional_params_have_callers_outside_tests():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert optional_params_only_tests_pass(package, [p.read_text() for p in CONSUMERS]) == []
+
+
+def test_scanner_finds_defaults_only_tests_rely_on():
+    package = {
+        "pkg/a.py": ('def f(x, y=1, z=2, *, k=None, r): return f(x, r=0)\n'
+                     'class C:\n'
+                     '    def m(self, a, b=1): pass\n'
+                     '    @staticmethod\n'
+                     '    def s(a, b=2, c=3): pass\n'
+                     'def h(a=1, b=2): pass\n'
+                     'def lone(a=1): pass\n'),
+        "pkg/b.py": ('from .a import C, f\n'
+                     'def go(c: C):\n'
+                     '    f(1, 2, k=3, r=4)\n'
+                     '    f(1, y=5, k=None, r=4)\n'
+                     '    c.m(1)\n'
+                     '    C.s(1, 2)\n'),
+    }
+    consumers = ['from pkg.a import h\nh(*[1, 2])\n']
+    assert defaults_only_tests_rely_on(package, consumers) == [
+        "pkg/a.py line 1: f(y)", "pkg/a.py line 1: f(k)", "pkg/a.py line 6: h(a)",
+        "pkg/a.py line 6: h(b)", "pkg/a.py line 5: C.s(b)"]
+
+
+def test_no_defaults_only_tests_rely_on():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    found = defaults_only_tests_rely_on(package, [p.read_text() for p in CONSUMERS])
+    assert sorted(f.rsplit(": ", 1)[1] for f in found) == sorted(TEST_ONLY_DEFAULTS_ALLOWED), found

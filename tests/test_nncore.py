@@ -38,7 +38,13 @@ from faultlab.nncore import (
 )
 from faultlab.nncore.checkpoint import checkpoint_text
 from faultlab.nncore.layers import dense_backward_batch, lstm_backward_batch
-from oracles import array_spec, check_gradients, lstm_cell_forward, lstm_layer_forward
+from oracles import (
+    array_spec,
+    check_gradients,
+    lstm_cell_forward,
+    lstm_layer_forward,
+    model_loss,
+)
 
 
 # --- activations --------------------------------------------------------------
@@ -322,7 +328,7 @@ def test_lstm_step_matches_reference_loop_bit_for_bit(nd, nh, constant, nb):
 
 
 def test_dense_gradcheck_ce_head():
-    # identity head feeding the fused softmax+CE gradient
+    # an affine head feeding the fused softmax+CE gradient
     rng = np.random.default_rng(12)
     p = DenseParams.init(rng, 3, 4)
     x = rng.normal(size=(5, 3))
@@ -334,24 +340,7 @@ def test_dense_gradcheck_ce_head():
 
     z = dense_forward_batch(x, p)
     _, dlogits = sequence_cross_entropy(softmax(z, axis=-1)[:, None, :], labels)
-    dw, db, _ = dense_backward_batch(x, z, dlogits[:, 0, :], p)
-    report = check_gradients(loss_fn, [p.w, p.b], [dw, db])
-    assert report.ok(1e-5), report
-
-
-def test_dense_gradcheck_softmax_jvp():
-    # softmax activation applies its own Jacobian-vector product
-    rng = np.random.default_rng(13)
-    p = DenseParams.init(rng, 3, 4, activation="softmax")
-    x = rng.normal(size=(5, 3))
-    target = rng.normal(size=(5, 4))
-
-    def loss_fn():
-        return mse_loss(dense_forward_batch(x, p), target)[0]
-
-    out = dense_forward_batch(x, p)
-    _, d_out = mse_loss(out, target)
-    dw, db, _ = dense_backward_batch(x, out, d_out, p)
+    dw, db, _ = dense_backward_batch(x, dlogits[:, 0, :], p)
     report = check_gradients(loss_fn, [p.w, p.b], [dw, db])
     assert report.ok(1e-5), report
 
@@ -409,7 +398,7 @@ def test_mse_oracle():
 
 
 def test_one_hot_padding_rows_are_zero():
-    y = one_hot_sequences(np.array([[1, 0], [2, 2]]), 3)
+    y = one_hot_sequences(np.array([[1, 0], [2, 2]]), 3, 2)
     assert y.shape == (2, 2, 3)
     assert_allclose(y[0, 0], [1, 0, 0])
     assert_allclose(y[0, 1], [0, 0, 0])  # label 0 = padding
@@ -509,11 +498,19 @@ class _Quadratic:
     def param_arrays(self):
         return [self.w]
 
-    def loss_and_grads(self, batch):
-        return float((self.w[0] - 3.0) ** 2), [2.0 * (self.w - 3.0)]
+    def stack_key(self, batch):
+        return None
 
-    def loss(self, batch):
+    @staticmethod
+    def group_losses(models, batches, want_grads):
+        return [(m.step_loss(), [2.0 * (m.w - 3.0)]) if want_grads else m.val_loss()
+                for m in models]
+
+    def step_loss(self):
         return float((self.w[0] - 3.0) ** 2)
+
+    def val_loss(self):
+        return self.step_loss()
 
 
 def test_train_converges_on_quadratic():
@@ -526,7 +523,7 @@ def test_train_converges_on_quadratic():
 
 
 class _Flat(_Quadratic):
-    def loss(self, batch):
+    def val_loss(self):
         return 1.0  # validation never improves after the first epoch
 
 
@@ -545,8 +542,8 @@ def test_early_stopping_and_restore():
 
 
 class _Diverging(_Quadratic):
-    def loss_and_grads(self, batch):
-        return float("inf"), [np.zeros(1)]
+    def step_loss(self):
+        return float("inf")
 
 
 def test_train_raises_on_divergence():
@@ -567,7 +564,7 @@ def _reference_train(job: TrainJob) -> TrainResult:
     for epoch in range(1, job.max_epochs + 1):
         losses = []
         for batch in job.make_batches(job.rng):
-            loss, grads = job.model.loss_and_grads(batch)
+            loss, grads = model_loss(job.model, batch, want_grads=True)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             flat = adam_step(job.adam, pack(params), pack(grads))
@@ -575,7 +572,7 @@ def _reference_train(job: TrainJob) -> TrainResult:
                 raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
             unpack_into(flat, params)
             losses.append(loss)
-        val = job.model.loss(job.val_batch)
+        val = model_loss(job.model, job.val_batch, want_grads=False)
         result.train_losses.append(float(np.mean(losses)))
         result.val_losses.append(float(val))
         result.epochs_run = epoch
@@ -713,7 +710,7 @@ def test_checkpoint_bitexact_floats(tmp_path):
     vals = np.array([1 / 3, 1e-300, math.pi, -0.1, -0.0, 5e-324, tiny / 3, -tiny / 7])
     path = tmp_path / "v.json"
     save_checkpoint(Checkpoint(kind="k", meta={}, arrays={"v": vals}), path)
-    back = load_checkpoint(path).arrays["v"]
+    back = load_checkpoint(path, expect_kind="k").arrays["v"]
     assert back.dtype == np.float64 and back.tobytes() == vals.tobytes()
 
 
@@ -737,7 +734,7 @@ def test_checkpoint_refuses_version_1_with_a_retrain_message(tmp_path):
                                                             "data": [0.5, -1.0]}}}))
     with pytest.raises(ConfigError, match=r"version 1 .*retrain the models with "
                                           r"`faultlab train-smtcnn` or `faultlab pipeline`"):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_kind="k")
 
 
 @pytest.mark.parametrize("spec,msg", [
@@ -766,14 +763,14 @@ def test_checkpoint_refuses_bad_array_data(tmp_path, spec, msg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=re.escape(msg)):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_kind="k")
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "nope"}')
     with pytest.raises(ConfigError):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_kind="k")
     path.write_text("not json at all")
     with pytest.raises(ConfigError):
-        load_checkpoint(path)
+        load_checkpoint(path, expect_kind="k")

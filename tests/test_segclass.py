@@ -22,6 +22,8 @@ from faultlab.segclass import _LinearImpl
 from faultlab.simgen import TimeSeriesDataset
 from oracles import crossval_10fold, stratified_folds
 
+CFG = SegclassConfig()
+
 
 def make_blobs(seed=0, n_per=60, d=15):
     """Three well-separated gaussian blobs with non-contiguous class ids."""
@@ -114,7 +116,7 @@ def test_windowize_validation():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_separates_blobs(kind, blobs):
-    model = train_classifier(kind, blobs, seed=4)
+    model = train_classifier(kind, blobs, CFG, seed=4)
     preds, scores = predict_batch(model, blobs.features)
     assert scores.shape == (len(blobs), 3)
     assert set(preds.tolist()) <= {2, 5, 9}
@@ -123,14 +125,14 @@ def test_kind_separates_blobs(kind, blobs):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_deterministic(kind, blobs):
-    a = scores_batch(train_classifier(kind, blobs, seed=9), blobs.features)
-    b = scores_batch(train_classifier(kind, blobs, seed=9), blobs.features)
+    a = scores_batch(train_classifier(kind, blobs, CFG, seed=9), blobs.features)
+    b = scores_batch(train_classifier(kind, blobs, CFG, seed=9), blobs.features)
     assert np.array_equal(a, b)
 
 
 def test_forest_seed_changes_bootstrap(blobs):
-    a = scores_batch(train_classifier("random_forest", blobs, seed=1), blobs.features)
-    b = scores_batch(train_classifier("random_forest", blobs, seed=2), blobs.features)
+    a = scores_batch(train_classifier("random_forest", blobs, CFG, seed=1), blobs.features)
+    b = scores_batch(train_classifier("random_forest", blobs, CFG, seed=2), blobs.features)
     assert not np.array_equal(a, b)
 
 
@@ -145,13 +147,13 @@ def test_tie_breaks_to_lowest_class():
 def test_degenerate_inputs():
     empty = WindowFeatures(np.zeros((0, 15)), np.zeros(0, dtype=np.int64))
     with pytest.raises(DegenerateDataError):
-        train_classifier("decision_tree", empty)
+        train_classifier("decision_tree", empty, CFG, seed=0)
     single = WindowFeatures(np.random.default_rng(0).normal(size=(8, 15)),
                             np.full(8, 4, dtype=np.int64))
     with pytest.raises(DegenerateDataError):
-        train_classifier("decision_tree", single)
+        train_classifier("decision_tree", single, CFG, seed=0)
     with pytest.raises(InvariantViolation):
-        train_classifier("xgboost", make_blobs(n_per=5))
+        train_classifier("xgboost", make_blobs(n_per=5), CFG, seed=0)
     with pytest.raises(InvariantViolation):
         ClassifierModel(kind="xgboost", classes=np.array([1, 2]), impl=None)
 
@@ -160,7 +162,7 @@ def test_degenerate_inputs():
 
 
 def test_naive_bayes_scores_match_formula(blobs):
-    model = train_classifier("naive_bayes", blobs, seed=0)
+    model = train_classifier("naive_bayes", blobs, CFG, seed=0)
     impl = model.impl
     x = blobs.features[:8]
     want = np.empty((8, 3))
@@ -171,11 +173,24 @@ def test_naive_bayes_scores_match_formula(blobs):
 
 
 def test_linear_scores_match_formula(blobs):
-    model = train_classifier("logistic_regression", blobs, seed=0)
+    model = train_classifier("logistic_regression", blobs, CFG, seed=0)
     impl = model.impl
     x = blobs.features[:8]
     want = ((x - impl.std.mu) / impl.std.sd) @ impl.w.T + impl.b
     assert np.allclose(scores_batch(model, x), want, atol=0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scores_do_not_depend_on_batch_size(kind, blobs):
+    # a row gets the same bits whether it is scored alone, in a chunk or in
+    # one pass over all rows, so an argmax at a near-tie cannot depend on the
+    # batch it came in
+    model = train_classifier(kind, blobs, SegclassConfig(rf_trees=8), seed=2)
+    x = np.random.default_rng(8).normal(0.0, 5.0, size=(5000, 15))
+    whole = scores_batch(model, x).tobytes()
+    for size in range(1, 40):
+        parts = [scores_batch(model, x[i:i + size]) for i in range(0, len(x), size)]
+        assert np.concatenate(parts).tobytes() == whole, f"chunks of {size}"
 
 
 # --- persistence ----------------------------------------------------------------
@@ -184,7 +199,7 @@ def test_linear_scores_match_formula(blobs):
 @pytest.mark.parametrize("kind", KINDS)
 def test_checkpoint_round_trip(kind, blobs, tmp_path):
     # nothing in the product reads the file back; criterion 8 re-scores its raw arrays
-    ckpt = to_checkpoint(train_classifier(kind, blobs, seed=6))
+    ckpt = to_checkpoint(train_classifier(kind, blobs, CFG, seed=6))
     path = tmp_path / f"{kind}.json"
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path, expect_kind="segclass")
@@ -215,7 +230,8 @@ def _column_rows(col, values, labels):
       "dist": [[0.0] * 3, [0.0] * 3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
 ], ids=["stump", "depth2"])
 def test_tree_checkpoint_arrays_exact(col, values, labels, want):
-    ckpt = to_checkpoint(train_classifier("decision_tree", _column_rows(col, values, labels)))
+    rows = _column_rows(col, values, labels)
+    ckpt = to_checkpoint(train_classifier("decision_tree", rows, CFG, seed=0))
     assert ckpt.meta["n_trees"] == 1
     assert sorted(ckpt.arrays) == ["classes", *(f"t0_{name}" for name in sorted(want))]
     for name, values in want.items():
@@ -225,7 +241,7 @@ def test_tree_checkpoint_arrays_exact(col, values, labels, want):
 
 
 def test_forest_trees_are_preorder_arrays(blobs):
-    model = train_classifier("random_forest", blobs, seed=3)
+    model = train_classifier("random_forest", blobs, CFG, seed=3)
     for tree in model.impl.trees:
         leaf = tree.left == -1
         order = []
@@ -260,10 +276,10 @@ def test_stratified_folds_balanced():
 def test_crossval_requires_enough_rows():
     rows = make_blobs(n_per=3)
     with pytest.raises(DegenerateDataError):
-        crossval_10fold(rows, "decision_tree", n_folds=10)
+        crossval_10fold(rows, "decision_tree", CFG, n_folds=10)
 
 
 def test_crossval_on_blobs(blobs):
-    report = crossval_10fold(blobs, "decision_tree", seed=1)
+    report = crossval_10fold(blobs, "decision_tree", CFG, seed=1)
     assert len(report.fold_metrics) == 10
     assert report.mean["balanced_accuracy"] >= 0.95

@@ -61,8 +61,9 @@ def test_normal_energy_centered_on_device_sum(normal_small, small_cfg):
 
 
 def test_benign_excursions_present_and_energy_only(small_cfg):
-    plain = simulate_normal(small_cfg, rng=np.random.default_rng(5), benign=False)
-    with_exc = simulate_normal(small_cfg, rng=np.random.default_rng(5), benign=True)
+    n = small_cfg.size_for("normal_only")
+    plain = simulate_normal(small_cfg, n, np.random.default_rng(5), benign=False)
+    with_exc = simulate_normal(small_cfg, n, np.random.default_rng(5), benign=True)
     assert len(plain) == len(with_exc)
     dips = plain.energy != with_exc.energy
     assert dips.any()
@@ -130,7 +131,8 @@ def test_unknown_regime_rejected(small_cfg):
 # --- fault injection ----------------------------------------------------------
 
 def _fresh(cfg, seed=11):
-    return simulate_normal(cfg, rng=np.random.default_rng(seed), benign=False)
+    return simulate_normal(cfg, cfg.size_for("normal_only"), np.random.default_rng(seed),
+                           benign=False)
 
 
 def test_fault_spec_range():
